@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from .core import CapExceeded, DomainError, Expr, Universe, make_expr
+from .core import CapExceeded, DomainError, Expr, Universe, make_expr, self_check
 from .lp import (
     INFEASIBLE,
     LinearProgram,
@@ -213,7 +213,7 @@ def _weight_lp_result(
     result = solve(lp)
     if result.status == INFEASIBLE:
         return BoundResult(math.inf, method, lp_shape=shape)
-    assert result.status == OPTIMAL  # objective is bounded below by zero
+    self_check(result.status == OPTIMAL, "the objective is bounded below by 0")
     weights = result.point[: len(sigma.entries)]
     return BoundResult(result.value, method, weights=weights, lp_shape=shape)
 
@@ -239,7 +239,10 @@ def logbound_modular(query: Query, sigma: GuardedSigma) -> BoundResult:
         lp.add_row(row, ">=", 1)
     out = _weight_lp_result(sigma, lp, "modular")
     if out.is_finite:
-        assert check_modular(sigma_inequality(sigma, out.weights)).valid
+        self_check(
+            check_modular(sigma_inequality(sigma, out.weights)).valid,
+            "the weights are valid over modular functions",
+        )
     return out
 
 
@@ -271,7 +274,10 @@ def logbound_step(query: Query, sigma: GuardedSigma) -> BoundResult:
         lp.add_row({k: 1 for k in support}, ">=", 1)
     out = _weight_lp_result(sigma, lp, "step")
     if out.is_finite:
-        assert check_step(sigma_inequality(sigma, out.weights)).valid
+        self_check(
+            check_step(sigma_inequality(sigma, out.weights)).valid,
+            "the weights are valid over step functions",
+        )
     return out
 
 
@@ -282,7 +288,7 @@ def logbound_polymatroid_dual(query: Query, sigma: GuardedSigma) -> BoundResult:
     h(UV) - h(U) <= b per conditional; unbounded means no finite bound.
     Weights come from the explicit dual program, whose rows say that the
     weighted form dominates h(full) modulo the cone's rows. Equality of the
-    two optimal values is asserted rather than assumed.
+    two optimal values is checked rather than assumed.
     """
     uni = sigma.universe
     if uni.n > POLYMATROID_MAX_N:
@@ -304,7 +310,7 @@ def logbound_polymatroid_dual(query: Query, sigma: GuardedSigma) -> BoundResult:
         primal.add_row(row, "<=", entry.log_degree)
     shape = primal.shape
     result = solve(primal)
-    assert result.status != INFEASIBLE  # the zero function always fits
+    self_check(result.status != INFEASIBLE, "the zero function is feasible")
     if result.status == UNBOUNDED:
         return BoundResult(math.inf, "polymatroid-dual", lp_shape=shape)
 
@@ -325,10 +331,13 @@ def logbound_polymatroid_dual(query: Query, sigma: GuardedSigma) -> BoundResult:
     for m in sorted(var):
         dual.add_row(columns[m], ">=", 1 if m == uni.full_mask else 0)
     dual_result = solve(dual)
-    assert dual_result.status == OPTIMAL
-    assert dual_result.value == result.value
+    self_check(dual_result.status == OPTIMAL, "the dual has an optimum")
+    self_check(dual_result.value == result.value, "primal and dual agree")
     weights = dual_result.point[:k]
-    assert check_polymatroid(sigma_inequality(sigma, weights)).valid
+    self_check(
+        check_polymatroid(sigma_inequality(sigma, weights)).valid,
+        "the weights are valid over polymatroids",
+    )
     return BoundResult(
         result.value, "polymatroid-dual", weights=weights, lp_shape=shape
     )
@@ -431,9 +440,12 @@ def logbound_simple_entropic(query: Query, sigma: GuardedSigma) -> BoundResult:
     result = solve(lp)
     if result.status == INFEASIBLE:
         return BoundResult(math.inf, "simple-entropic", lp_shape=shape)
-    assert result.status == OPTIMAL
+    self_check(result.status == OPTIMAL, "the objective is bounded below by 0")
     weights = result.point[n_x : n_x + k]
-    assert check_simple_sigma(sigma_inequality(sigma, weights)).valid
+    self_check(
+        check_simple_sigma(sigma_inequality(sigma, weights)).valid,
+        "the weights are valid over the simple fragment",
+    )
     return BoundResult(
         result.value, "simple-entropic", weights=weights, lp_shape=shape
     )
@@ -549,7 +561,7 @@ _ATOM_RE = re.compile(r"(\w+)\s*\(([^)]*)\)")
 _LOGDEG_RE = re.compile(
     r"^logdeg\s+(?:(\w+)\s+)?\(([^|)]*)(?:\|([^)]*))?\)\s*<=\s*(\S+)$"
 )
-_CARD_RE = re.compile(r"^card\s+(\w+)\s*<=\s*(\d+)$")
+_CARD_RE = re.compile(r"^card\s+(\w+)\s*<=\s*(?:2\s*\^\s*(\d+)|(\d+))$")
 
 
 def _split_names(text: str) -> list[str]:
@@ -596,13 +608,17 @@ def parse_constraints(text: str) -> tuple[Query, GuardedSigma]:
             continue
         m = _CARD_RE.match(line)
         if m:
-            name, count_text = m.groups()
-            count = int(count_text)
-            if count < 1 or count & (count - 1):
-                raise DomainError(
-                    f"line {lineno}: cardinality {count} is not a power of two"
-                )
-            pending.append(([], [], name, Fraction(count.bit_length() - 1)))
+            name, exponent_text, count_text = m.groups()
+            if exponent_text is not None:
+                log_count = int(exponent_text)
+            else:
+                count = int(count_text)
+                if count < 1 or count & (count - 1):
+                    raise DomainError(
+                        f"line {lineno}: cardinality {count} is not a power of two"
+                    )
+                log_count = count.bit_length() - 1
+            pending.append(([], [], name, Fraction(log_count)))
             continue
         raise DomainError(f"line {lineno}: unrecognized constraint {line!r}")
     if query is None:

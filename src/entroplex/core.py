@@ -26,6 +26,17 @@ class CapExceeded(RuntimeError):
     """A configured size cap was exceeded."""
 
 
+class ConsistencyError(RuntimeError):
+    """A result failed its exact self-check: a bug here, never bad input."""
+
+
+def self_check(condition: bool, claim: str) -> None:
+    """Raise ConsistencyError unless the claim holds; unlike assert, this
+    survives python -O."""
+    if not condition:
+        raise ConsistencyError(f"self-check failed: {claim}")
+
+
 def max_universe_size() -> int:
     """Universe size cap; ENTROPLEX_MAX_N overrides the default of 24."""
     raw = os.environ.get("ENTROPLEX_MAX_N")

@@ -1,37 +1,21 @@
 """Exact rational linear programming.
 
-Dense two-phase simplex with Bland's rule, which is always on: the programs
-built elsewhere in this package are highly degenerate and cycling must be
-impossible rather than unlikely. Arithmetic uses gmpy2.mpq when available and
-falls back to fractions.Fraction; results cross the API boundary as Fraction
-either way.
+Two-phase simplex with Bland's rule, which is always on: the programs built
+elsewhere in this package are highly degenerate and cycling must be
+impossible rather than unlikely. Tableau rows are sparse and fraction-free
+(Bareiss style): integer numerators of the nonzero columns over one positive
+denominator per row, in lowest terms. Results cross the API boundary as
+Fraction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
-from .core import DomainError, Rat
-
-try:
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover - environment without gmpy2
-    _mpq = Fraction
-
-_ZERO = _mpq(0)
-_ONE = _mpq(1)
-
-
-def _to_kernel(value: Rat) -> object:
-    f = Fraction(value)
-    return _mpq(f.numerator, f.denominator)
-
-
-def _to_fraction(value: object) -> Fraction:
-    return Fraction(int(value.numerator), int(value.denominator))
-
+from .core import DomainError, Rat, self_check
 
 MINIMIZE = "min"
 MAXIMIZE = "max"
@@ -79,8 +63,46 @@ class LPResult:
     pivots: int = 0
 
 
+def _integer_row(values: Mapping[int, Rat]) -> tuple[dict[int, int], int]:
+    """The nonzero values as numerators over the lcm of their denominators."""
+    den = math.lcm(*(v.denominator for v in values.values()))
+    nums = {j: v.numerator * (den // v.denominator) for j, v in values.items() if v}
+    return nums, den
+
+
+def _lowest_terms(nums: dict[int, int], den: int) -> int:
+    """Divide a row by gcd(den, *nums) in place; return the new denominator."""
+    if den != 1:
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            for j in nums:
+                nums[j] //= g
+            den //= g
+    return den
+
+
+def _eliminate(nums: dict[int, int], den: int, c: int, piv: dict[int, int]) -> int:
+    """Subtract the multiple of the pivot row (value 1 at c, so piv[c] is its
+    denominator) that zeroes column c, in place; return the new denominator."""
+    p = piv[c]
+    g = math.gcd(nums[c], p)
+    f = nums[c] // g
+    scale = p // g
+    if scale != 1:
+        for j in nums:
+            nums[j] *= scale
+        den *= scale
+    for j, v in piv.items():
+        w = nums.get(j, 0) - f * v
+        if w:
+            nums[j] = w
+        else:
+            del nums[j]
+    return _lowest_terms(nums, den)
+
+
 class _Tableau:
-    """Equality-form simplex tableau over the kernel rational type."""
+    """Equality-form simplex tableau; row i is rows[i] / dens[i]."""
 
     def __init__(self, lp: LinearProgram):
         m = len(lp.rows)
@@ -88,19 +110,17 @@ class _Tableau:
         self.pivots = 0
 
         # Column layout: structural vars, then one slack/surplus per inequality
-        # row, then artificials as needed.
+        # row, then artificials as needed; the rhs sits at column ncols.
         ncols = lp.n_vars
         slack_col: list[Optional[int]] = [None] * m
         slack_sign: list[int] = [0] * m
-        norm_rows: list[tuple[dict[int, object], str, object]] = []
+        norm_rows: list[tuple[Mapping[int, Rat], str, Rat]] = []
         for i, (coeffs, rel, rhs) in enumerate(lp.rows):
-            kc = {j: _to_kernel(c) for j, c in coeffs.items()}
-            krhs = _to_kernel(rhs)
-            if krhs < 0:
-                kc = {j: -c for j, c in kc.items()}
-                krhs = -krhs
+            if rhs < 0:
+                coeffs = {j: -c for j, c in coeffs.items()}
+                rhs = -rhs
                 rel = {">=": "<=", "<=": ">=", "=": "="}[rel]
-            norm_rows.append((kc, rel, krhs))
+            norm_rows.append((coeffs, rel, rhs))
             if rel != "=":
                 slack_col[i] = ncols
                 slack_sign[i] = 1 if rel == "<=" else -1
@@ -108,137 +128,119 @@ class _Tableau:
 
         art_col: list[Optional[int]] = [None] * m
         basis: list[int] = [0] * m
-        for i, (_, rel, krhs) in enumerate(norm_rows):
+        for i, (_, rel, rhs) in enumerate(norm_rows):
             if rel == "<=":
                 basis[i] = slack_col[i]  # slack basic at rhs >= 0
-            elif rel == ">=" and krhs == 0:
+            elif rel == ">=" and rhs == 0:
                 basis[i] = slack_col[i]  # surplus basic at 0, row negated below
             else:
                 art_col[i] = ncols
                 basis[i] = ncols
                 ncols += 1
 
-        rows: list[list[object]] = []
-        for i, (kc, rel, krhs) in enumerate(norm_rows):
-            row = [_ZERO] * (ncols + 1)
-            for j, c in kc.items():
-                row[j] = c
+        self.rows: list[dict[int, int]] = []
+        self.dens: list[int] = []
+        for i, (coeffs, rel, rhs) in enumerate(norm_rows):
+            nums, den = _integer_row({**coeffs, ncols: rhs})
             if slack_col[i] is not None:
-                row[slack_col[i]] = _mpq(slack_sign[i])
+                nums[slack_col[i]] = slack_sign[i] * den
             if art_col[i] is not None:
-                row[art_col[i]] = _ONE
-            row[ncols] = krhs
+                nums[art_col[i]] = den
             if basis[i] == slack_col[i] and slack_sign[i] == -1:
-                row = [-v for v in row]  # make the basic surplus column +1
-            rows.append(row)
+                nums = {j: -v for j, v in nums.items()}  # basic surplus at +1
+            self.rows.append(nums)
+            self.dens.append(_lowest_terms(nums, den))
 
-        self.rows = rows
         self.ncols = ncols
         self.basis = basis
         self.artificials = frozenset(c for c in art_col if c is not None)
         self.allowed = [True] * ncols
+        sign = 1 if lp.sense == MINIMIZE else -1
+        self.cost = {j: sign * c for j, c in lp.objective.items()}
 
-        sign = _ONE if lp.sense == MINIMIZE else -_ONE
-        self.cost = [_ZERO] * ncols
-        for j, c in lp.objective.items():
-            self.cost[j] = sign * _to_kernel(c)
-        self.sense_sign = sign
-
-    def _reduced_cost_row(self, cost: Sequence[object]) -> list[object]:
-        """r_j = c_j - c_B B^-1 A_j, with the current rhs in the last slot."""
-        red = list(cost) + [_ZERO]
+    def _set_reduced_costs(self, cost: Mapping[int, Rat]) -> None:
+        """red_j = c_j - c_B B^-1 A_j, with -c_B x_B in the rhs slot."""
+        red, den = _integer_row(cost)
         for i, b in enumerate(self.basis):
-            cb = cost[b]
-            if cb != 0:
-                row = self.rows[i]
-                for j in range(self.ncols):
-                    if row[j] != 0:
-                        red[j] -= cb * row[j]
-                red[self.ncols] -= cb * row[self.ncols]
-        return red
+            if b in red:  # a basic row is 1 at its column, 0 at other basics
+                den = _eliminate(red, den, b, self.rows[i])
+        self.red, self.red_den = red, den
 
-    def _pivot(self, r: int, c: int, red: list[object]) -> None:
+    def _pivot(self, r: int, c: int) -> None:
         self.pivots += 1
         row = self.rows[r]
-        piv = row[c]
-        if piv != 1:
-            inv = _ONE / piv
-            self.rows[r] = row = [v * inv for v in row]
-        for other in self.rows:
-            if other is row:
-                continue
-            factor = other[c]
-            if factor != 0:
-                for j in range(self.ncols + 1):
-                    if row[j] != 0:
-                        other[j] -= factor * row[j]
-        factor = red[c]
-        if factor != 0:
-            for j in range(self.ncols + 1):
-                if row[j] != 0:
-                    red[j] -= factor * row[j]
+        if row[c] < 0:
+            for j in row:
+                row[j] = -row[j]
+        self.dens[r] = _lowest_terms(row, row[c])  # the pivot entry becomes 1
+        for i, other in enumerate(self.rows):
+            if i != r and c in other:
+                self.dens[i] = _eliminate(other, self.dens[i], c, row)
+        if c in self.red:
+            self.red_den = _eliminate(self.red, self.red_den, c, row)
         self.basis[r] = c
 
-    def _iterate(self, red: list[object]) -> str:
-        """Run simplex to optimality with Bland's rule. Returns a status."""
+    def _iterate(self) -> str:
+        """Run simplex to optimality with Bland's rule. Returns a status.
+
+        Denominators are positive, so signs and ratios are read off the
+        numerators: rhs_i / a_i compares by integer cross-multiplication.
+        """
         ncols = self.ncols
+        allowed = self.allowed
+        basis = self.basis
         while True:
-            enter = -1
-            for j in range(ncols):
-                if self.allowed[j] and red[j] < 0:
-                    enter = j
-                    break
+            enter = min(
+                (j for j, v in self.red.items() if v < 0 and j < ncols and allowed[j]),
+                default=-1,
+            )
             if enter < 0:
                 return OPTIMAL
             leave = -1
-            best = None
+            best_b = best_a = 0
             for i, row in enumerate(self.rows):
-                a = row[enter]
+                a = row.get(enter, 0)
                 if a > 0:
-                    ratio = row[ncols] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
+                    b = row.get(ncols, 0)
+                    if leave >= 0:
+                        lhs, rhs = b * best_a, best_b * a
+                        if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                            continue
+                    leave, best_b, best_a = i, b, a
             if leave < 0:
                 return UNBOUNDED
-            self._pivot(leave, enter, red)
+            self._pivot(leave, enter)
 
-    def solve_two_phase(self) -> tuple[str, list[object]]:
+    def solve_two_phase(self) -> str:
         ncols = self.ncols
         if self.artificials:
-            start_infeasibility = sum(
-                self.rows[i][ncols]
-                for i in range(len(self.rows))
-                if self.basis[i] in self.artificials
-            )
-            if start_infeasibility != 0:
-                phase1_cost = [
-                    _ONE if j in self.artificials else _ZERO for j in range(ncols)
-                ]
-                red = self._reduced_cost_row(phase1_cost)
-                status = self._iterate(red)
-                assert status == OPTIMAL  # phase 1 is bounded below by 0
-                if -red[ncols] != 0:
-                    return INFEASIBLE, []
+            if any(
+                self.rows[i].get(ncols, 0)
+                for i, b in enumerate(self.basis)
+                if b in self.artificials
+            ):
+                self._set_reduced_costs({j: 1 for j in self.artificials})
+                status = self._iterate()
+                self_check(status == OPTIMAL, "phase 1 is bounded below by 0")
+                if self.red.get(ncols, 0) != 0:
+                    return INFEASIBLE
             for j in self.artificials:
                 self.allowed[j] = False
-        red = self._reduced_cost_row(self.cost)
-        status = self._iterate(red)
-        return status, red
+        self._set_reduced_costs(self.cost)
+        return self._iterate()
 
     def extract_point(self) -> list[Fraction]:
-        values = [_ZERO] * self.ncols
+        values = [Fraction(0)] * self.n_orig
         for i, b in enumerate(self.basis):
-            values[b] = self.rows[i][self.ncols]
-        return [_to_fraction(values[j]) for j in range(self.n_orig)]
+            if b < self.n_orig:
+                values[b] = Fraction(self.rows[i].get(self.ncols, 0), self.dens[i])
+        return values
 
 
 def solve(lp: LinearProgram) -> LPResult:
     """Exact optimum, infeasibility, or unboundedness, deterministically."""
     tab = _Tableau(lp)
-    status, red = tab.solve_two_phase()
+    status = tab.solve_two_phase()
     if status == INFEASIBLE:
         return LPResult(INFEASIBLE, pivots=tab.pivots)
     if status == UNBOUNDED:
@@ -253,7 +255,6 @@ def feasible(lp: LinearProgram) -> tuple[bool, Optional[tuple[Fraction, ...]]]:
     probe = LinearProgram(lp.n_vars, MINIMIZE)
     probe.rows = lp.rows
     tab = _Tableau(probe)
-    status, _ = tab.solve_two_phase()
-    if status == INFEASIBLE:
+    if tab.solve_two_phase() == INFEASIBLE:
         return False, None
     return True, tuple(tab.extract_point())

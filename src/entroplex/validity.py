@@ -22,6 +22,7 @@ from .core import (
     combine,
     evaluate,
     make_expr,
+    self_check,
     set_representation,
 )
 from .functions import (
@@ -118,9 +119,9 @@ class Verdict:
     per_class: Optional[dict[str, "Verdict"]] = None
 
 
-def _assert_witness(expr: Expr, witness: Witness) -> Witness:
+def _verified_witness(expr: Expr, witness: Witness) -> Witness:
     value = evaluate(expr, witness.function)
-    assert value < 0, f"witness evaluates to {value}, expected negative"
+    self_check(value < 0, f"witness evaluates to {value}, expected negative")
     return witness
 
 
@@ -139,7 +140,7 @@ def check_modular(expr: Expr) -> Verdict:
             )
             return Verdict(
                 False, ("modular",), "modular",
-                witness=_assert_witness(expr, witness),
+                witness=_verified_witness(expr, witness),
             )
     return Verdict(True, ("modular",), "modular")
 
@@ -172,7 +173,7 @@ def check_step(expr: Expr) -> Verdict:
             witness = Witness("step", step_function(uni, v), step_set=v)
             return Verdict(
                 False, STEP_CLASSES, "step-enumeration",
-                witness=_assert_witness(expr, witness),
+                witness=_verified_witness(expr, witness),
             )
     return Verdict(True, STEP_CLASSES, "step-enumeration")
 
@@ -279,7 +280,10 @@ def check_monotone_fixpoint(expr: Expr) -> Verdict:
             if supply[x] > 0:
                 parts.append((Fraction(supply[x]) / scale, Axiom("nonneg", x)))
         cert = Decomposition(uni, tuple(parts))
-        assert cert.recombine().terms == expr.terms
+        self_check(
+            cert.recombine().terms == expr.terms,
+            "certificate recombines to the inequality",
+        )
         return Verdict(
             True, ("monotone",), "fixpoint", certificate=cert,
             iterations=iterations,
@@ -309,7 +313,7 @@ def check_monotone_fixpoint(expr: Expr) -> Verdict:
     )
     return Verdict(
         False, ("monotone",), "fixpoint",
-        witness=_assert_witness(expr, witness), iterations=iterations,
+        witness=_verified_witness(expr, witness), iterations=iterations,
     )
 
 
@@ -329,7 +333,7 @@ def _monotone_witness_after_lp(expr: Expr) -> tuple[Optional[Witness], bool]:
                     )
                     return witness, False
         return None, True
-    assert not verdict.valid
+    self_check(not verdict.valid, "fixpoint agrees with the infeasible LP")
     return verdict.witness, False
 
 
@@ -381,15 +385,18 @@ def check_monotone_lp(expr: Expr) -> Verdict:
             if residual > 0:
                 parts.append((residual, Axiom("nonneg", x)))
         cert = Decomposition(uni, tuple(parts))
-        assert cert.recombine().terms == expr.terms
-        assert cert.is_separable()
+        self_check(
+            cert.recombine().terms == expr.terms,
+            "certificate recombines to the inequality",
+        )
+        self_check(cert.is_separable(), "certificate is separable")
         return Verdict(
             True, ("monotone",), "pairing-lp", certificate=cert,
             lp_shape=shape,
         )
     witness, absent = _monotone_witness_after_lp(expr)
     if witness is not None:
-        witness = _assert_witness(expr, witness)
+        witness = _verified_witness(expr, witness)
     return Verdict(
         False, ("monotone",), "pairing-lp", witness=witness,
         witness_absent=absent, lp_shape=shape,
@@ -448,14 +455,14 @@ def check_polymatroid(expr: Expr) -> Verdict:
     lp.add_row({var[uni.full_mask]: 1}, "<=", 1)
     shape = lp.shape
     result = solve(lp)
-    assert result.status == OPTIMAL  # the slice is compact
+    self_check(result.status == OPTIMAL, "the slice is compact")
     if result.value >= 0:
         return Verdict(True, ("polymatroid",), "cone-lp", lp_shape=shape)
     values = (Fraction(0),) + result.point
     witness = Witness("polymatroid", SetFunction(uni, values))
     return Verdict(
         False, ("polymatroid",), "cone-lp",
-        witness=_assert_witness(expr, witness), lp_shape=shape,
+        witness=_verified_witness(expr, witness), lp_shape=shape,
     )
 
 
@@ -506,7 +513,7 @@ def is_simple_form(expr: Expr) -> bool:
     return all(mask == full or bin(mask).count("1") == 1 for mask in rhs)
 
 
-def check_simple_sigma(expr: Expr, target: str = "step") -> Verdict:
+def check_simple_sigma(expr: Expr) -> Verdict:
     """Per-variable reduction pipeline for simple-form inequalities.
 
     Valid iff for every variable the coefficient sums satisfy c >= d and the
@@ -514,8 +521,6 @@ def check_simple_sigma(expr: Expr, target: str = "step") -> Verdict:
     simultaneously for step, normal, entropic, and polymatroid semantics.
     Invalid verdicts always carry a step witness.
     """
-    if target not in SIMPLE_CLASSES:
-        raise DomainError(f"unknown simple-form target {target!r}")
     uni = expr.universe
     _, rhs = expr.two_sided()
     full = uni.full_mask
@@ -532,7 +537,7 @@ def check_simple_sigma(expr: Expr, target: str = "step") -> Verdict:
             witness = Witness("step", step_function(uni, bit), step_set=bit)
             return Verdict(
                 False, SIMPLE_CLASSES, "simple-reduction",
-                witness=_assert_witness(expr, witness),
+                witness=_verified_witness(expr, witness),
             )
         if not red.reduced:
             continue
@@ -547,12 +552,12 @@ def check_simple_sigma(expr: Expr, target: str = "step") -> Verdict:
         else:
             # Witness recovery was capped; enumerate steps on the reduction.
             fallback = check_step(red.reduced)
-            assert not fallback.valid
+            self_check(not fallback.valid, "the reduction fails over steps")
             ones = [
                 j for j in range(red_uni.n)
                 if fallback.witness.step_set >> j & 1
             ]
-        assert ones, "a failing reduction must light up some singleton"
+        self_check(bool(ones), "a failing reduction lights up a singleton")
         v = bit
         for j in ones:
             orig = j if j < i else j + 1
@@ -560,7 +565,7 @@ def check_simple_sigma(expr: Expr, target: str = "step") -> Verdict:
         witness = Witness("step", step_function(uni, v), step_set=v)
         return Verdict(
             False, SIMPLE_CLASSES, "simple-reduction",
-            witness=_assert_witness(expr, witness),
+            witness=_verified_witness(expr, witness),
         )
     return Verdict(True, SIMPLE_CLASSES, "simple-reduction")
 
@@ -585,7 +590,7 @@ def check(expr: Expr, semantics: str = "auto") -> Verdict:
         return check_monotone_lp(expr)
     if semantics == "entropic":
         if is_simple_form(expr):
-            return check_simple_sigma(expr, "entropic")
+            return check_simple_sigma(expr)
         raise UnsupportedSemantics(
             "entropic validity is decided here only for inequalities whose "
             "right-hand-side sets are singletons or the full universe"

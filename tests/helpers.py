@@ -21,7 +21,15 @@ from entroplex import (
     step_function,
     universe,
 )
-from entroplex.lp import INFEASIBLE, LinearProgram, MAXIMIZE, OPTIMAL, UNBOUNDED
+from entroplex.lp import (
+    INFEASIBLE,
+    LinearProgram,
+    LPResult,
+    MAXIMIZE,
+    MINIMIZE,
+    OPTIMAL,
+    UNBOUNDED,
+)
 
 BOX = Fraction(10**18)
 
@@ -125,6 +133,191 @@ def vertex_oracle(lp: LinearProgram):
     if not best_off_box:
         return UNBOUNDED, None
     return OPTIMAL, sign * best
+
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+class _DenseTableau:
+    """Dense equality-form simplex tableau over Fraction."""
+
+    def __init__(self, lp: LinearProgram):
+        m = len(lp.rows)
+        self.n_orig = lp.n_vars
+        self.pivots = 0
+
+        # Column layout: structural vars, then one slack/surplus per inequality
+        # row, then artificials as needed.
+        ncols = lp.n_vars
+        slack_col: list[Optional[int]] = [None] * m
+        slack_sign: list[int] = [0] * m
+        norm_rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
+        for i, (coeffs, rel, rhs) in enumerate(lp.rows):
+            kc = {j: Fraction(c) for j, c in coeffs.items()}
+            krhs = Fraction(rhs)
+            if krhs < 0:
+                kc = {j: -c for j, c in kc.items()}
+                krhs = -krhs
+                rel = {">=": "<=", "<=": ">=", "=": "="}[rel]
+            norm_rows.append((kc, rel, krhs))
+            if rel != "=":
+                slack_col[i] = ncols
+                slack_sign[i] = 1 if rel == "<=" else -1
+                ncols += 1
+
+        art_col: list[Optional[int]] = [None] * m
+        basis: list[int] = [0] * m
+        for i, (_, rel, krhs) in enumerate(norm_rows):
+            if rel == "<=":
+                basis[i] = slack_col[i]  # slack basic at rhs >= 0
+            elif rel == ">=" and krhs == 0:
+                basis[i] = slack_col[i]  # surplus basic at 0, row negated below
+            else:
+                art_col[i] = ncols
+                basis[i] = ncols
+                ncols += 1
+
+        rows: list[list[Fraction]] = []
+        for i, (kc, rel, krhs) in enumerate(norm_rows):
+            row = [_ZERO] * (ncols + 1)
+            for j, c in kc.items():
+                row[j] = c
+            if slack_col[i] is not None:
+                row[slack_col[i]] = Fraction(slack_sign[i])
+            if art_col[i] is not None:
+                row[art_col[i]] = _ONE
+            row[ncols] = krhs
+            if basis[i] == slack_col[i] and slack_sign[i] == -1:
+                row = [-v for v in row]  # make the basic surplus column +1
+            rows.append(row)
+
+        self.rows = rows
+        self.ncols = ncols
+        self.basis = basis
+        self.artificials = frozenset(c for c in art_col if c is not None)
+        self.allowed = [True] * ncols
+
+        sign = _ONE if lp.sense == MINIMIZE else -_ONE
+        self.cost = [_ZERO] * ncols
+        for j, c in lp.objective.items():
+            self.cost[j] = sign * Fraction(c)
+        self.sense_sign = sign
+
+    def _reduced_cost_row(self, cost: Sequence[Fraction]) -> list[Fraction]:
+        """r_j = c_j - c_B B^-1 A_j, with the current rhs in the last slot."""
+        red = list(cost) + [_ZERO]
+        for i, b in enumerate(self.basis):
+            cb = cost[b]
+            if cb != 0:
+                row = self.rows[i]
+                for j in range(self.ncols):
+                    if row[j] != 0:
+                        red[j] -= cb * row[j]
+                red[self.ncols] -= cb * row[self.ncols]
+        return red
+
+    def _pivot(self, r: int, c: int, red: list[Fraction]) -> None:
+        self.pivots += 1
+        row = self.rows[r]
+        piv = row[c]
+        if piv != 1:
+            inv = _ONE / piv
+            self.rows[r] = row = [v * inv for v in row]
+        for other in self.rows:
+            if other is row:
+                continue
+            factor = other[c]
+            if factor != 0:
+                for j in range(self.ncols + 1):
+                    if row[j] != 0:
+                        other[j] -= factor * row[j]
+        factor = red[c]
+        if factor != 0:
+            for j in range(self.ncols + 1):
+                if row[j] != 0:
+                    red[j] -= factor * row[j]
+        self.basis[r] = c
+
+    def _iterate(self, red: list[Fraction]) -> str:
+        """Run simplex to optimality with Bland's rule. Returns a status."""
+        ncols = self.ncols
+        while True:
+            enter = -1
+            for j in range(ncols):
+                if self.allowed[j] and red[j] < 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return OPTIMAL
+            leave = -1
+            best = None
+            for i, row in enumerate(self.rows):
+                a = row[enter]
+                if a > 0:
+                    ratio = row[ncols] / a
+                    if best is None or ratio < best or (
+                        ratio == best and self.basis[i] < self.basis[leave]
+                    ):
+                        best = ratio
+                        leave = i
+            if leave < 0:
+                return UNBOUNDED
+            self._pivot(leave, enter, red)
+
+    def solve_two_phase(self) -> tuple[str, list[Fraction]]:
+        ncols = self.ncols
+        if self.artificials:
+            start_infeasibility = sum(
+                self.rows[i][ncols]
+                for i in range(len(self.rows))
+                if self.basis[i] in self.artificials
+            )
+            if start_infeasibility != 0:
+                phase1_cost = [
+                    _ONE if j in self.artificials else _ZERO for j in range(ncols)
+                ]
+                red = self._reduced_cost_row(phase1_cost)
+                status = self._iterate(red)
+                assert status == OPTIMAL  # phase 1 is bounded below by 0
+                if -red[ncols] != 0:
+                    return INFEASIBLE, []
+            for j in self.artificials:
+                self.allowed[j] = False
+        red = self._reduced_cost_row(self.cost)
+        status = self._iterate(red)
+        return status, red
+
+    def extract_point(self) -> list[Fraction]:
+        values = [_ZERO] * self.ncols
+        for i, b in enumerate(self.basis):
+            values[b] = self.rows[i][self.ncols]
+        return values[: self.n_orig]
+
+
+
+def dense_solve(lp: LinearProgram) -> LPResult:
+    """The dense Fraction simplex the sparse kernel replaced: same Bland
+    path, so every field of the result, pivots included, must agree."""
+    tab = _DenseTableau(lp)
+    status, red = tab.solve_two_phase()
+    if status == INFEASIBLE:
+        return LPResult(INFEASIBLE, pivots=tab.pivots)
+    if status == UNBOUNDED:
+        return LPResult(UNBOUNDED, pivots=tab.pivots)
+    point = tab.extract_point()
+    value = sum((c * point[j] for j, c in lp.objective.items()), Fraction(0))
+    return LPResult(OPTIMAL, value=value, point=tuple(point), pivots=tab.pivots)
+
+
+def dense_feasible(lp: LinearProgram) -> tuple[bool, Optional[tuple[Fraction, ...]]]:
+    probe = LinearProgram(lp.n_vars, MINIMIZE)
+    probe.rows = lp.rows
+    tab = _DenseTableau(probe)
+    status, _ = tab.solve_two_phase()
+    if status == INFEASIBLE:
+        return False, None
+    return True, tuple(tab.extract_point())
 
 
 def rand_lp(rng: random.Random) -> LinearProgram:

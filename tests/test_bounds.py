@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -333,11 +334,31 @@ def test_parse_constraints_full():
     assert entries[2].sigma.target == 0b100 and entries[2].guard == 1
 
 
+def test_readme_constraint_forms_parse():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("Constraint files accept", 1)[1].split("```", 2)[1]
+    query, sigma = parse_constraints(block)
+    card, degree, inferred = sigma.entries
+    assert card.sigma.joint == 0b011 and card.log_degree == 3
+    assert degree.guard == 1 and degree.log_degree == 1
+    assert inferred.guard == query.atom_index("R3")
+    assert logbound_polymatroid_dual(query, sigma).is_finite
+    # 2^k and the power of two it names are the same cardinality.
+    for count in ("2^3", "8", "2 ^ 3"):
+        _, sigma = parse_constraints(
+            f"query Q(A) = R1(A)\ncard R1 <= {count}\n"
+        )
+        assert sigma.entries[0].log_degree == 3
+
+
 def test_parse_constraints_errors():
     with pytest.raises(DomainError):
         parse_constraints("card R1 <= 4\n")  # no query line
     with pytest.raises(DomainError):
         parse_constraints("query Q(A) = R1(A)\ncard R1 <= 3\n")  # not a power of 2
+    with pytest.raises(DomainError):
+        parse_constraints("query Q(A) = R1(A)\ncard R1 <= 3^2\n")  # base not 2
     with pytest.raises(DomainError):
         parse_constraints("query Q(A) = R1(A)\ncard R9 <= 2\n")
     with pytest.raises(DomainError):

@@ -1,10 +1,17 @@
-"""Exact simplex: hand cases plus agreement with a vertex-enumeration oracle."""
+"""Exact simplex: hand cases, agreement with a vertex-enumeration oracle, and
+pivot-for-pivot agreement with the dense Fraction tableau it replaced."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import entroplex.bounds as bounds_mod
+import entroplex.lp as lp_mod
+import entroplex.validity as validity_mod
+from entroplex import check_polymatroid, universe
 from entroplex.core import DomainError
 from entroplex.lp import (
     INFEASIBLE,
@@ -16,7 +23,14 @@ from entroplex.lp import (
     feasible,
     solve,
 )
-from helpers import rand_lp, vertex_oracle
+from helpers import (
+    dense_feasible,
+    dense_solve,
+    rand_expr,
+    rand_lp,
+    rand_sigma,
+    vertex_oracle,
+)
 
 
 def test_tiny_minimum():
@@ -142,3 +156,73 @@ def test_agreement_with_vertex_oracle():
         statuses[want_status] += 1
     # the sample must exercise every status
     assert all(v > 0 for v in statuses.values()), statuses
+
+
+def _lp(n, sense, objective, rows):
+    lp = LinearProgram(n, sense=sense)
+    lp.set_objective(objective)
+    for coeffs, rel, rhs in rows:
+        lp.add_row(coeffs, rel, rhs)
+    return lp
+
+
+_RATS = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@st.composite
+def programs(draw):
+    n = draw(st.integers(1, 4))
+    cols = st.integers(0, n - 1)
+    rows = draw(st.lists(
+        st.tuples(
+            st.dictionaries(cols, _RATS, max_size=n),
+            st.sampled_from([">=", "<=", "="]),
+            _RATS,
+        ),
+        min_size=1, max_size=6,
+    ))
+    objective = draw(st.dictionaries(cols, _RATS, max_size=n))
+    return _lp(n, draw(st.sampled_from([MINIMIZE, MAXIMIZE])), objective, rows)
+
+
+@given(programs())
+@example(_lp(1, MINIMIZE, {}, [({0: 1}, "<=", Fraction(-1, 2))]))  # infeasible
+@example(_lp(2, MAXIMIZE, {0: Fraction(2, 3)}, [({1: 1}, "=", 3)]))  # unbounded
+@settings(max_examples=300, deadline=None)
+def test_sparse_kernel_matches_dense_tableau(lp):
+    assert solve(lp) == dense_solve(lp)
+    assert feasible(lp) == dense_feasible(lp)
+
+
+def test_package_programs_match_dense_tableau(monkeypatch):
+    """Every LP that check_polymatroid (n=4) and the four bound methods
+    build: same status, value, point and pivot count as the dense tableau."""
+    built = []
+
+    def recording(real):
+        def run(lp):
+            built.append(lp)
+            return real(lp)
+        return run
+
+    monkeypatch.setattr(validity_mod, "solve", recording(lp_mod.solve))
+    monkeypatch.setattr(validity_mod, "lp_feasible", recording(lp_mod.feasible))
+    monkeypatch.setattr(bounds_mod, "solve", recording(lp_mod.solve))
+    rng = random.Random(20261018)
+    uni = universe("A", "B", "C", "D")
+    for _ in range(12):
+        check_polymatroid(rand_expr(rng, uni))
+    methods = (
+        bounds_mod.logbound_modular,
+        bounds_mod.logbound_step,
+        bounds_mod.logbound_polymatroid_dual,
+        bounds_mod.logbound_simple_entropic,
+    )
+    for _ in range(12):
+        query, sigma = rand_sigma(rng, n_max=4, simple=True)
+        for method in methods:
+            method(query, sigma)
+    assert len(built) > 60
+    for lp in built:
+        assert solve(lp) == dense_solve(lp)
+        assert feasible(lp) == dense_feasible(lp)

@@ -1,7 +1,11 @@
 """Validity checkers: examples, certificates, witnesses, brute-force agreement."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -270,3 +274,48 @@ def test_dispatch_entropic():
     not_simple = make_expr(U3, {3: 1, 6: 1, 2: -1, 5: -1})
     with pytest.raises(UnsupportedSemantics):
         check(not_simple, "entropic")
+
+
+# Patch in a wrong witness function, then a wrong verdict under the bound
+# weights; each self-check must raise, also with asserts stripped.
+_BROKEN_SELF_CHECKS = """
+import entroplex.bounds as bounds
+import entroplex.validity as validity
+from entroplex import ConsistencyError, parse_constraints, parse_inequality
+from entroplex import zero_function
+
+print("debug", __debug__)
+validity.step_function = lambda uni, mask: zero_function(uni)
+try:
+    validity.check_step(parse_inequality("h(A) + h(B) >= h(A,B) + 1/2*h(A)"))
+except ConsistencyError as exc:
+    print("witness:", exc)
+bounds.check_modular = lambda expr: validity.Verdict(False, (), "broken")
+query, sigma = parse_constraints("query Q(A,B) = R1(A,B)\\ncard R1 <= 4")
+try:
+    bounds.logbound_modular(query, sigma)
+except ConsistencyError as exc:
+    print("weights:", exc)
+"""
+
+
+def test_self_checks_survive_python_O():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_SELF_CHECKS],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "debug False"
+    assert lines[1] == (
+        "witness: self-check failed: witness evaluates to 0, expected negative"
+    )
+    assert lines[2] == (
+        "weights: self-check failed: the weights are valid over modular "
+        "functions"
+    )
