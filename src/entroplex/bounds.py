@@ -30,6 +30,7 @@ from .lp import (
 from .validity import (
     FormError,
     _elemental_rows,
+    _reduced_mask,
     POLYMATROID_MAX_N,
     check_modular,
     check_polymatroid,
@@ -341,11 +342,6 @@ def logbound_polymatroid_dual(query: Query, sigma: GuardedSigma) -> BoundResult:
     return BoundResult(
         result.value, "polymatroid-dual", weights=weights, lp_shape=shape
     )
-
-
-def _reduced_mask(mask: int, i: int) -> int:
-    low = (1 << i) - 1
-    return (mask & low) | ((mask >> 1) & ~low)
 
 
 def logbound_simple_entropic(query: Query, sigma: GuardedSigma) -> BoundResult:

@@ -26,7 +26,7 @@ from .bounds import (
     parse_constraints,
     relation_from_csv,
 )
-from .core import CapExceeded, DomainError, evaluate
+from .core import CapExceeded, ConsistencyError, DomainError, evaluate
 from .dsl import DslError, format_inequality, parse_inequality
 from .functions import distribution_from_csv, entropic_from_distribution
 from .reductions import (
@@ -286,7 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--class",
         dest="semantics",
         default="auto",
-        choices=["modular", "normal", "step", "polymatroid", "monotone", "auto"],
+        choices=[
+            "modular", "normal", "step", "entropic", "polymatroid", "monotone",
+            "auto",
+        ],
     )
     p.add_argument("--certificate", action="store_true")
     p.add_argument("--witness", action="store_true")
@@ -331,6 +334,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except OSError as ex:
         print(f"error: {ex}", file=sys.stderr)
+        return 2
+    except ConsistencyError as ex:
+        print(f"error: internal consistency check failed: {ex}", file=sys.stderr)
         return 2
 
 

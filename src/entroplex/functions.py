@@ -7,9 +7,10 @@ the single floating-point surface and live in their own type.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .core import DomainError, Expr, Rat, Universe
 
@@ -18,10 +19,14 @@ MONOTONE_ENUM_MAX_N = 5
 
 @dataclass(frozen=True)
 class SetFunction:
-    """Dense vector of 2^n exact values with value({}) = 0, indexed by mask."""
+    """2^n exact values with value({}) = 0, indexed by mask.
+
+    The values are a tuple, or a StepValues that computes them on demand;
+    equality and hash do not depend on which.
+    """
 
     universe: Universe
-    values: tuple[Fraction, ...]
+    values: Sequence[Fraction]
 
     def __post_init__(self) -> None:
         if len(self.values) != 1 << self.universe.n:
@@ -40,6 +45,43 @@ class SetFunction:
         }
 
 
+_ONE, _ZERO = Fraction(1), Fraction(0)
+
+
+@dataclass(frozen=True, eq=False)
+class StepValues(Sequence):
+    """The 2^n values of the step function s^V, computed on demand: 1 on the
+    masks that meet v, 0 elsewhere."""
+
+    n: int
+    v: int
+
+    def __len__(self) -> int:
+        return 1 << self.n
+
+    def __getitem__(self, index):
+        masks = range(1 << self.n)[index]  # an int, or a range for a slice
+        if isinstance(masks, range):
+            return tuple(_ONE if m & self.v else _ZERO for m in masks)
+        return _ONE if masks & self.v else _ZERO
+
+    def __iter__(self) -> Iterator[Fraction]:
+        v = self.v
+        return (_ONE if m & v else _ZERO for m in range(1 << self.n))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, StepValues):
+            return (self.n, self.v) == (other.n, other.v)
+        if isinstance(other, Sequence):
+            return len(other) == len(self) and all(
+                a == b for a, b in zip(self, other)
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 def from_values(uni: Universe, values: Sequence[Rat]) -> SetFunction:
     return SetFunction(uni, tuple(Fraction(v) for v in values))
 
@@ -54,10 +96,7 @@ def step_function(uni: Universe, v: int) -> SetFunction:
         raise DomainError("a step function needs a nonempty witness set")
     if v > uni.full_mask:
         raise DomainError("step set outside universe")
-    one, zero = Fraction(1), Fraction(0)
-    return SetFunction(
-        uni, tuple(one if m & v else zero for m in range(1 << uni.n))
-    )
+    return SetFunction(uni, StepValues(uni.n, v))
 
 
 def basic_modular(uni: Universe, name: str) -> SetFunction:

@@ -145,37 +145,81 @@ def check_modular(expr: Expr) -> Verdict:
     return Verdict(True, ("modular",), "modular")
 
 
-def _lex_subset_masks(n: int):
-    """Nonempty subsets ordered as sorted index tuples: {0},{0,1},...,{n-1}."""
+def _add_to_planes(planes: list[int], k: int, where: int) -> None:
+    """Add k to the bit-sliced value of every set in the bitmap `where`.
 
-    def rec(prefix: int, start: int):
-        for i in range(start, n):
-            m = prefix | 1 << i
-            yield m
-            yield from rec(m, i + 1)
-
-    yield from rec(0, 0)
+    planes[j] holds bit j of each set's value; the ripple carry stops once
+    k's bits are used up and no set carries any more.
+    """
+    carry, top = 0, k.bit_length()
+    for j, plane in enumerate(planes):
+        if k >> j & 1:
+            planes[j] = plane ^ where ^ carry
+            carry = (plane & where) | (carry & (plane ^ where))
+        elif carry:
+            planes[j] = plane ^ carry
+            carry &= plane
+        elif j >= top:
+            return
 
 
 def check_step(expr: Expr) -> Verdict:
-    """Enumerate all step functions; first failure in lexicographic order."""
+    """Evaluate every step function at once; first failure in lexicographic
+    order of the step sets as sorted index tuples: {0},{0,1},...,{n-1}.
+
+    Bit V of each 2^n-bit integer below stands for the step set V. With N
+    the total negative and P the total positive multiplicity, every set's
+    value is kept as the w-bit number 2^(w-1) - N + (positives it meets) +
+    (negatives it misses) = 2^(w-1) + f(V), spread over w bit planes, so
+    the top plane is clear exactly on the failing sets.
+    """
     uni = expr.universe
+    n = uni.n
     rep = set_representation(expr, cap=1 << 62)  # integer coefficients only
-    terms = [
-        (mask, k) for mask, k in rep.positives.items()
-    ] + [(mask, -k) for mask, k in rep.negatives.items()]
-    for v in _lex_subset_masks(uni.n):
-        total = 0
-        for mask, k in terms:
-            if mask & v:
-                total += k
-        if total < 0:
-            witness = Witness("step", step_function(uni, v), step_set=v)
-            return Verdict(
-                False, STEP_CLASSES, "step-enumeration",
-                witness=_verified_witness(expr, witness),
-            )
-    return Verdict(True, STEP_CLASSES, "step-enumeration")
+    size = 1 << n
+    every = (1 << size) - 1
+    has = []  # has[i]: the sets that contain variable i
+    for i in range(n):
+        half = 1 << i
+        pattern, period = ((1 << half) - 1) << half, 2 * half
+        while period < size:
+            pattern |= pattern << period
+            period <<= 1
+        has.append(pattern)
+
+    def hit(mask: int) -> int:
+        out = 0
+        for i in range(n):
+            if mask >> i & 1:
+                out |= has[i]
+        return out
+
+    w = max(rep.negative_total, rep.positive_total).bit_length() + 1
+    start = (1 << (w - 1)) - rep.negative_total
+    planes = [every if start >> j & 1 else 0 for j in range(w)]
+    for mask, k in rep.positives.items():
+        _add_to_planes(planes, k, hit(mask))
+    for mask, k in rep.negatives.items():
+        _add_to_planes(planes, k, every ^ hit(mask))
+    negative = every & ~planes[-1]
+    if not negative:
+        return Verdict(True, STEP_CLASSES, "step-enumeration")
+    # Descend the lexicographic tree: the child v | 1 << i heads the subtree
+    # of sets v | S with S inside {i+1..n-1}, whose bitmap is `below`.
+    v = 0
+    below = every
+    for i in range(n):
+        below &= ~has[i]
+        m = v | 1 << i
+        if negative >> m & below:
+            v = m
+            if negative >> v & 1:
+                break
+    witness = Witness("step", step_function(uni, v), step_set=v)
+    return Verdict(
+        False, STEP_CLASSES, "step-enumeration",
+        witness=_verified_witness(expr, witness),
+    )
 
 
 def _upset_indicator(uni: Universe, gens: list[int]) -> SetFunction:
@@ -476,6 +520,12 @@ class AReduction:
     reduced: Expr
 
 
+def _reduced_mask(mask: int, i: int) -> int:
+    """The mask with variable i removed and the higher bits shifted down."""
+    low = (1 << i) - 1
+    return (mask & low) | ((mask >> 1) & ~low)
+
+
 def a_reduction(expr: Expr, name: str) -> AReduction:
     """Project the inequality away from one variable.
 
@@ -486,7 +536,6 @@ def a_reduction(expr: Expr, name: str) -> AReduction:
     uni = expr.universe
     i = uni.index(name)
     bit = 1 << i
-    low = bit - 1
     red_uni = Universe(uni.names[:i] + uni.names[i + 1:])
     c = Fraction(0)
     d = Fraction(0)
@@ -498,7 +547,7 @@ def a_reduction(expr: Expr, name: str) -> AReduction:
             else:
                 d -= coeff
         else:
-            red_mask = (mask & low) | ((mask & ~(2 * bit - 1)) >> 1)
+            red_mask = _reduced_mask(mask, i)
             acc[red_mask] = acc.get(red_mask, Fraction(0)) + coeff
     if red_uni.n:
         full = red_uni.full_mask

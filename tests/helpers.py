@@ -18,6 +18,7 @@ from entroplex import (
     enumerate_monotone_boolean,
     evaluate,
     make_expr,
+    set_representation,
     step_function,
     universe,
 )
@@ -56,6 +57,28 @@ def step_brute(expr: Expr) -> bool:
         evaluate(expr, step_function(uni, v)) >= 0
         for v in range(1, uni.full_mask + 1)
     )
+
+
+def step_first_failing(expr: Expr) -> Optional[int]:
+    """The step checker the bit-sliced kernel replaced: walk the nonempty
+    sets as sorted index tuples, {0},{0,1},...,{n-1}, summing each term
+    that meets the set; the first set with a negative total, or None."""
+    n = expr.universe.n
+    rep = set_representation(expr, cap=1 << 62)
+    terms = [(mask, k) for mask, k in rep.positives.items()] + [
+        (mask, -k) for mask, k in rep.negatives.items()
+    ]
+
+    def lex_subset_masks(prefix: int, start: int):
+        for i in range(start, n):
+            m = prefix | 1 << i
+            yield m
+            yield from lex_subset_masks(m, i + 1)
+
+    for v in lex_subset_masks(0, 0):
+        if sum(k for mask, k in terms if mask & v) < 0:
+            return v
+    return None
 
 
 def modular_brute(expr: Expr) -> bool:

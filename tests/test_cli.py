@@ -210,3 +210,36 @@ def test_parse_error_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(path))
     assert code == 2
     assert "line 1" in err
+
+
+def test_check_entropic_class(capsys, worked, tmp_path):
+    code, out, _ = run(capsys, "check", worked, "--class", "entropic")
+    assert code == 0
+    assert out == "Valid over step, normal, entropic, polymatroid\n"
+    path = tmp_path / "pair.ineq"
+    path.write_text("h(X,Z) + h(Y,Z) >= h(X,Y)\n")
+    code, out, err = run(capsys, "check", str(path), "--class", "entropic")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: entropic validity is decided here only for inequalities "
+        "whose right-hand-side sets are singletons or the full universe\n"
+    )
+
+
+def test_failed_self_check_exits_two(capsys, tmp_path, monkeypatch):
+    import entroplex.validity
+    from entroplex import zero_function
+
+    monkeypatch.setattr(
+        entroplex.validity, "step_function", lambda uni, v: zero_function(uni)
+    )
+    path = tmp_path / "s2.ineq"
+    path.write_text("h(A) + h(B) >= h(A,B) + 1/2*h(A)\n")
+    code, out, err = run(capsys, "check", str(path), "--class", "step")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: internal consistency check failed: self-check failed: "
+        "witness evaluates to 0, expected negative\n"
+    )

@@ -22,6 +22,7 @@ from entroplex import (
     universe,
     zero_function,
 )
+from entroplex.functions import StepValues
 
 XOR_CSV = "A,B,C,prob\n0,0,0,1/4\n0,1,1,1/4\n1,0,1,1/4\n1,1,0,1/4\n"
 
@@ -42,6 +43,31 @@ def test_step_function_values():
         step_function(uni, 0)
     with pytest.raises(DomainError):
         step_function(uni, 8)
+
+
+def test_step_values_computed_on_demand():
+    uni = universe("A", "B", "C")
+    for v in range(1, 8):
+        lazy = step_function(uni, v)
+        dense = from_values(uni, [1 if m & v else 0 for m in range(8)])
+        assert isinstance(lazy.values, StepValues)
+        assert lazy == dense and dense == lazy
+        assert lazy.values == dense.values and dense.values == lazy.values
+        assert hash(lazy) == hash(dense)
+        assert hash(lazy.values) == hash(dense.values)
+        assert is_monotone(lazy) and is_polymatroid(lazy)
+    s = step_function(uni, 0b011)
+    assert s != step_function(uni, 0b101)
+    assert s.values != step_function(universe("A", "B"), 0b11).values
+    assert s.values == [0, 1, 1, 1, 0, 1, 1, 1]
+    assert s.values != "01110111"
+    assert len(s.values) == 8
+    assert s.values[-1] == 1 and s.values[-4] == 0
+    assert s.values[1:5] == (1, 1, 1, 0)
+    assert s.values[::-3] == (1, 0, 1)
+    with pytest.raises(IndexError):
+        s.values[8]
+    assert basic_modular(uni, "B") == step_function(uni, 0b010)
 
 
 def test_basic_modular_values():

@@ -1,5 +1,6 @@
 """Validity checkers: examples, certificates, witnesses, brute-force agreement."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -8,11 +9,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entroplex import (
     CapExceeded,
     DomainError,
     FormError,
+    MonSat3Instance,
+    PartitionInstance,
     UnsupportedSemantics,
     a_reduction,
     check,
@@ -22,15 +27,28 @@ from entroplex import (
     check_polymatroid,
     check_simple_sigma,
     check_step,
+    coloring_oracle,
     evaluate,
+    from_3coloring,
+    from_3dmonsat,
+    from_partition,
+    graph,
     is_polymatroid,
     is_simple_form,
     make_expr,
+    partition_oracle,
+    sat_oracle,
     step_function,
     universe,
 )
 from entroplex.validity import DECIDABLE, SIMPLE_CLASSES, STEP_CLASSES
-from helpers import modular_brute, monotone_brute, rand_expr, step_brute
+from helpers import (
+    modular_brute,
+    monotone_brute,
+    rand_expr,
+    step_brute,
+    step_first_failing,
+)
 
 U3 = universe("X", "Y", "Z")
 
@@ -167,6 +185,63 @@ def test_step_and_modular_match_brute_force():
         expr = rand_expr(rng, uni)
         assert check_step(expr).valid == step_brute(expr)
         assert check_modular(expr).valid == modular_brute(expr)
+
+
+def assert_step_matches_oracle(expr):
+    verdict = check_step(expr)
+    first = step_first_failing(expr)
+    assert verdict.valid == (first is None)
+    assert verdict.method == "step-enumeration"
+    if first is not None:
+        assert verdict.witness.step_set == first
+        assert_witness_sound(expr, verdict)
+    return verdict
+
+
+@st.composite
+def step_exprs(draw):
+    n = draw(st.integers(1, 10))
+    uni = universe(*[f"V{i}" for i in range(n)])
+    coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    terms = draw(st.dictionaries(st.integers(1, uni.full_mask), coeffs, max_size=12))
+    return make_expr(uni, terms)
+
+
+@given(step_exprs())
+@settings(max_examples=200, deadline=None)
+@example(make_expr(universe("A"), {}))
+@example(make_expr(universe(*"ABCDEFGHIJ"), {}))
+def test_step_kernel_matches_enumeration(expr):
+    assert_step_matches_oracle(expr)
+
+
+def _triples(names):
+    return [frozenset(t) for t in itertools.combinations(names, 3)]
+
+
+def test_step_kernel_on_reduction_families():
+    """The paper's hardness gadgets at n <= 12, solvable and unsolvable."""
+    names = tuple(f"x{i}" for i in range(1, 9))
+    core = _triples(names[:5])  # at least three of five true, at most two
+    cases = [
+        (from_3dmonsat, sat_oracle, MonSat3Instance(
+            names, tuple(_triples(names[:4])), tuple(_triples(names[4:])))),
+        (from_3dmonsat, sat_oracle, MonSat3Instance(names, tuple(core), tuple(core))),
+        (from_3coloring, coloring_oracle, graph(
+            ["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d"), ("a", "c")])),
+        (from_3coloring, coloring_oracle, graph(
+            ["a", "b", "c", "d"], list(itertools.combinations("abcd", 2)))),
+        (from_partition, partition_oracle, PartitionInstance((1, 2, 3, 4, 5, 5, 2, 2))),
+        (from_partition, partition_oracle, PartitionInstance((2, 4, 4, 4, 2, 2, 4, 4, 4, 4))),
+    ]
+    solvable = []
+    for build, oracle, instance in cases:
+        expr = build(instance)
+        assert expr.universe.n <= 12
+        verdict = assert_step_matches_oracle(expr)
+        assert verdict.valid != oracle(instance)
+        solvable.append(not verdict.valid)
+    assert solvable == [True, False] * 3
 
 
 def test_class_chain_implications():
