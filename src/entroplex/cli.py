@@ -112,8 +112,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         }
         if verdict.witness is not None:
             doc["witness"] = _witness_payload(verdict.witness)
-        if verdict.witness_absent:
-            doc["witness_absent"] = True
         if verdict.certificate is not None and args.certificate:
             doc["certificate"] = _certificate_lines(verdict)
         if verdict.per_class is not None:
@@ -135,11 +133,8 @@ def cmd_check(args: argparse.Namespace) -> int:
                     print(f"  {line}")
             else:
                 print("certificate: none recorded")
-        if args.witness:
-            if verdict.witness is not None:
-                _print_witness(verdict.witness)
-            elif verdict.witness_absent:
-                print("witness: not recovered (size cap)")
+        if args.witness and verdict.witness is not None:
+            _print_witness(verdict.witness)
     return 0 if verdict.valid else 1
 
 

@@ -292,8 +292,7 @@ class SetRep:
 def set_representation(expr: Expr, cap: int = SETREP_CAP) -> SetRep:
     """Scale coefficients to integers and expand into multiplicities.
 
-    Raises CapExceeded when the total multiplicity passes cap; callers fall
-    back to the LP checker in that case.
+    Raises CapExceeded when the total multiplicity passes cap.
     """
     scale = 1
     for coeff in expr.terms.values():

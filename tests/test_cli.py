@@ -48,6 +48,28 @@ def test_check_invalid_exit_one(capsys, submod):
     assert "{X,Y,Z}: 1" in out
 
 
+def test_check_witness_with_coprime_denominators(capsys, tmp_path):
+    path = tmp_path / "big6.ineq"
+    path.write_text(
+        "vars A,B,C,D,E,F;\n"
+        "1/99991*h(A,B) + 1/99989*h(A,C) >= 1/7*h(A) + 1/99961*h(A,B,C,D,E,F)\n"
+    )
+    code, out, _ = run(capsys, "check", str(path), "--class", "monotone",
+                       "--witness")
+    assert code == 1
+    assert out.splitlines()[:3] == [
+        "Invalid over monotone",
+        "witness: monotone 0/1 function, upward closure of {A}",
+        "  {A}: 1",
+    ]
+    code, out, _ = run(capsys, "check", str(path), "--class", "monotone",
+                       "--witness", "--json")
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["witness"]["generators"] == ["{A}"]
+    assert doc["provenance"]["method"] == "fixpoint"
+
+
 def test_check_certificate_lines(capsys, worked):
     code, out, _ = run(capsys, "check", worked, "--class", "monotone",
                        "--certificate")

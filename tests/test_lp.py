@@ -206,7 +206,6 @@ def test_package_programs_match_dense_tableau(monkeypatch):
         return run
 
     monkeypatch.setattr(validity_mod, "solve", recording(lp_mod.solve))
-    monkeypatch.setattr(validity_mod, "lp_feasible", recording(lp_mod.feasible))
     monkeypatch.setattr(bounds_mod, "solve", recording(lp_mod.solve))
     rng = random.Random(20261018)
     uni = universe("A", "B", "C", "D")

@@ -38,6 +38,7 @@ from entroplex import (
     make_expr,
     partition_oracle,
     sat_oracle,
+    set_representation,
     step_function,
     universe,
 )
@@ -45,6 +46,7 @@ from entroplex.validity import DECIDABLE, SIMPLE_CLASSES, STEP_CLASSES
 from helpers import (
     modular_brute,
     monotone_brute,
+    pairing_lp_monotone,
     rand_expr,
     step_brute,
     step_first_failing,
@@ -82,22 +84,25 @@ def test_worked_example_fixpoint():
 
 
 def test_worked_example_lp():
+    # The pairing LP is now the test oracle; the old checker name stays as an
+    # alias of the one monotone decider.
+    assert pairing_lp_monotone(WORKED)
     verdict = check_monotone_lp(WORKED)
     assert verdict.valid
-    assert verdict.lp_shape is not None
+    assert verdict.method == "fixpoint"
     cert = verdict.certificate
     assert cert is not None and cert.recombine().terms == WORKED.terms
 
 
 def test_submodularity_monotone_witness():
-    for checker in (check_monotone_fixpoint, check_monotone_lp):
-        verdict = checker(SUBMOD)
-        assert_witness_sound(SUBMOD, verdict)
-        w = verdict.witness
-        assert w.kind == "boolean_monotone"
-        assert w.generators == (7,)
-        # the function is 1 exactly on the full set
-        assert [w.function[m] for m in range(8)] == [0] * 7 + [1]
+    assert not pairing_lp_monotone(SUBMOD)
+    verdict = check_monotone_fixpoint(SUBMOD)
+    assert_witness_sound(SUBMOD, verdict)
+    w = verdict.witness
+    assert w.kind == "boolean_monotone"
+    assert w.generators == (7,)
+    # the function is 1 exactly on the full set
+    assert [w.function[m] for m in range(8)] == [0] * 7 + [1]
 
 
 def test_submodularity_valid_elsewhere():
@@ -155,7 +160,7 @@ def test_empty_expression_valid_everywhere():
     assert check_step(empty).valid
     assert check_polymatroid(empty).valid
     assert check_monotone_fixpoint(empty).valid
-    assert check_monotone_lp(empty).valid
+    assert pairing_lp_monotone(empty)
 
 
 def test_monotone_checkers_match_brute_force():
@@ -165,17 +170,68 @@ def test_monotone_checkers_match_brute_force():
         expr = rand_expr(rng, uni)
         want = monotone_brute(expr)
         fix = check_monotone_fixpoint(expr)
-        lp = check_monotone_lp(expr)
         assert fix.valid == want
-        assert lp.valid == want
+        assert pairing_lp_monotone(expr) == want
         if not want:
             assert_witness_sound(expr, fix)
-            assert_witness_sound(expr, lp)
         else:
-            for verdict in (fix, lp):
-                cert = verdict.certificate
-                assert cert.recombine().terms == expr.terms
-                assert cert.is_separable()
+            cert = fix.certificate
+            assert cert.recombine().terms == expr.terms
+            assert cert.is_separable()
+
+
+def _big_coprime(names):
+    # 1/99991 h(A,B) + 1/99989 h(A,C) >= 1/7 h(A) + 1/99961 h(all)
+    uni = universe(*names)
+    return make_expr(uni, {
+        3: Fraction(1, 99991), 5: Fraction(1, 99989), 1: Fraction(-1, 7),
+        uni.full_mask: Fraction(-1, 99961),
+    })
+
+
+# Large pairwise coprime denominators: their lcm overflows any integer
+# scaling cap, which the exact max-flow never needs.
+_DENOMINATORS = (1, 2, 3, 7, 99961, 99989, 99991, 1000003)
+
+
+@st.composite
+def monotone_exprs(draw):
+    n = draw(st.integers(1, 4))
+    uni = universe(*[f"V{i}" for i in range(n)])
+    coeffs = st.builds(
+        Fraction, st.integers(-5, 5), st.sampled_from(_DENOMINATORS)
+    )
+    terms = draw(st.dictionaries(st.integers(1, uni.full_mask), coeffs, max_size=10))
+    return make_expr(uni, terms)
+
+
+@given(monotone_exprs())
+@settings(max_examples=300, deadline=None)
+@example(make_expr(universe("A"), {}))
+@example(make_expr(universe(*"ABCD"), {}))
+@example(_big_coprime("ABCD"))
+def test_monotone_max_flow_matches_oracles(expr):
+    verdict = check_monotone_fixpoint(expr)
+    assert verdict.valid == pairing_lp_monotone(expr) == monotone_brute(expr)
+    if verdict.valid:
+        cert = verdict.certificate
+        assert cert.recombine().terms == expr.terms
+        assert cert.is_separable()
+        assert all(weight > 0 for weight, _ in cert.parts)
+    else:
+        assert_witness_sound(expr, verdict)
+        assert verdict.witness.kind == "boolean_monotone"
+
+
+def test_monotone_witness_beyond_old_scaling_cap():
+    """Coefficients whose common denominator once capped witness recovery."""
+    for names in ("ABCDE", "ABCDEF"):
+        expr = _big_coprime(names)
+        with pytest.raises(CapExceeded):
+            set_representation(expr)  # integer scaling would exceed its cap
+        for verdict in (check_monotone_fixpoint(expr), check(expr, "monotone")):
+            assert_witness_sound(expr, verdict)
+            assert verdict.witness.generators == (1,)  # the up-set of {A}
 
 
 def test_step_and_modular_match_brute_force():
@@ -250,7 +306,7 @@ def test_class_chain_implications():
     uni = universe("A", "B", "C", "D")
     for _ in range(150):
         expr = rand_expr(rng, uni)
-        mono = check_monotone_lp(expr).valid
+        mono = check_monotone_fixpoint(expr).valid
         poly = check_polymatroid(expr).valid
         step = check_step(expr).valid
         modular = check_modular(expr).valid
@@ -285,7 +341,7 @@ def test_simple_form_predicate():
     assert is_simple_form(SUBMOD)
     not_simple = make_expr(U3, {3: 1, 6: 1, 2: -1, 5: -1})
     assert not is_simple_form(not_simple)
-    with pytest.raises(FormError):
+    with pytest.raises(FormError, match="singleton or the full universe"):
         check_simple_sigma(not_simple)
 
 
