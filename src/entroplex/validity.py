@@ -508,14 +508,66 @@ def check_simple_sigma(expr: Expr) -> Verdict:
 
 
 DECIDABLE = ("modular", "step", "polymatroid", "monotone")
+_CLASS_SEMANTICS = {
+    "step": STEP_CLASSES, "polymatroid": ("polymatroid",),
+    "monotone": ("monotone",),
+}
+
+
+def _implied(cls: str, by: str, source: Verdict) -> Verdict:
+    """The verdict on `cls` that the verdict on class `by` settles."""
+    return Verdict(
+        source.valid, _CLASS_SEMANTICS[cls], f"implied-by-{by}",
+        certificate=source.certificate, witness=source.witness,
+    )
+
+
+def check_per_class(expr: Expr) -> Verdict:
+    """Every decidable class, walking the chain modular < step <
+    polymatroid < monotone.
+
+    Invalid on a class is Invalid on every larger one with the same witness:
+    a basic modular function is a step function, and a step function is a
+    polymatroid. A monotone certificate is a Shannon proof for every smaller
+    class. So the cone LP runs only on step-Valid, monotone-Invalid input.
+    Overall validity is the monotone verdict; an Invalid one carries the
+    witness of the first Invalid class, a Valid one the monotone certificate.
+    """
+    modular = check_modular(expr)
+    if not modular.valid:
+        per = {"modular": modular}
+        for cls in DECIDABLE[1:]:
+            per[cls] = _implied(cls, "modular", modular)
+    else:
+        monotone = check_monotone_fixpoint(expr)
+        if monotone.valid:
+            step = _implied("step", "monotone", monotone)
+            poly = _implied("polymatroid", "monotone", monotone)
+        else:
+            step = check_step(expr)
+            poly = (
+                check_polymatroid(expr) if step.valid
+                else _implied("polymatroid", "step", step)
+            )
+        per = {
+            "modular": modular, "step": step, "polymatroid": poly,
+            "monotone": monotone,
+        }
+    top = per["monotone"]
+    witness = next((v.witness for v in per.values() if not v.valid), None)
+    return Verdict(
+        top.valid, DECIDABLE, "per-class", certificate=top.certificate,
+        witness=witness, per_class=per,
+    )
 
 
 def check(expr: Expr, semantics: str = "auto") -> Verdict:
     """Dispatch to the checker for the requested semantics.
 
     'auto' uses the simple-form pipeline when it applies (one verdict for
-    step through polymatroid) and otherwise reports every decidable class.
-    'entropic' is answered only through the simple-form coincidence.
+    step through polymatroid) and otherwise reports every decidable class
+    through `check_per_class`. 'entropic' is answered only through the
+    simple-form coincidence.
     """
     if semantics == "modular":
         return check_modular(expr)
@@ -535,11 +587,5 @@ def check(expr: Expr, semantics: str = "auto") -> Verdict:
     if semantics == "auto":
         if is_simple_form(expr):
             return check_simple_sigma(expr)
-        per = {name: check(expr, name) for name in DECIDABLE}
-        return Verdict(
-            all(v.valid for v in per.values()),
-            DECIDABLE,
-            "per-class",
-            per_class=per,
-        )
+        return check_per_class(expr)
     raise DomainError(f"unknown semantics {semantics!r}")

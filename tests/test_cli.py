@@ -107,6 +107,85 @@ def test_check_composite_lists_classes(capsys, tmp_path):
     assert "polymatroid: Valid" in out
 
 
+def test_check_auto_invalid_carries_witness(capsys, tmp_path):
+    path = tmp_path / "mixed.ineq"
+    path.write_text("vars X,Y,Z;\nh(X) + h(Y) >= h(X,Y)\n")
+    code, out, _ = run(capsys, "check", str(path), "--witness", "--certificate")
+    assert code == 1
+    assert out == (
+        "Invalid over modular, step, polymatroid, monotone\n"
+        "  modular: Valid\n"
+        "  step: Valid\n"
+        "  polymatroid: Valid\n"
+        "  monotone: Invalid\n"
+        "certificate: none recorded\n"
+        "witness: monotone 0/1 function, upward closure of {X,Y}\n"
+        "  {X,Y}: 1\n"
+        "  {X,Y,Z}: 1\n"
+    )
+    # The first Invalid class in chain order supplies the witness.
+    path.write_text("h(C) + 2*h(A,B,C) >= 2*h(A) + 2*h(B,C)\n")
+    code, out, _ = run(capsys, "check", str(path), "--json")
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["witness"]["kind"] == "step"
+    assert doc["witness"]["step_set"] == "{A,B}"
+    assert {k: v["method"] for k, v in doc["per_class"].items()} == {
+        "modular": "modular", "step": "step-enumeration",
+        "polymatroid": "implied-by-step", "monotone": "fixpoint",
+    }
+
+
+def test_check_auto_valid_carries_certificate(capsys, tmp_path):
+    path = tmp_path / "mono.ineq"
+    path.write_text("2*h(A,B,C,D) >= h(A,B) + h(C,D)\n")
+    code, out, _ = run(capsys, "check", str(path), "--certificate")
+    assert code == 0
+    assert out == (
+        "Valid over modular, step, polymatroid, monotone\n"
+        "  modular: Valid\n"
+        "  step: Valid\n"
+        "  polymatroid: Valid\n"
+        "  monotone: Valid\n"
+        "certificate:\n"
+        "  1 * Mono({A,B,C,D} >= {A,B})\n"
+        "  1 * Mono({A,B,C,D} >= {C,D})\n"
+    )
+    code, out, _ = run(capsys, "check", str(path), "--json", "--certificate")
+    doc = json.loads(out)
+    assert code == 0
+    assert "witness" not in doc
+    assert doc["certificate"] == [
+        "1 * Mono({A,B,C,D} >= {A,B})", "1 * Mono({A,B,C,D} >= {C,D})",
+    ]
+    assert {k: v["method"] for k, v in doc["per_class"].items()} == {
+        "modular": "modular", "step": "implied-by-monotone",
+        "polymatroid": "implied-by-monotone", "monotone": "fixpoint",
+    }
+
+
+def test_check_auto_above_polymatroid_cap(capsys, tmp_path):
+    header = "vars A,B,C,D,E,F,G,H,I,J,K;\n"
+    path = tmp_path / "big.ineq"
+    cases = [
+        ("h(A,B) >= 2*h(A,C)", 1, [False] * 4),
+        ("h(C) + 2*h(A,B,C) >= 2*h(A) + 2*h(B,C)", 1,
+         [True, False, False, False]),
+        ("2*h(A,B,C,D) >= h(A,B) + h(C,D)", 0, [True] * 4),
+    ]
+    for text, want_code, valid in cases:
+        path.write_text(header + text + "\n")
+        code, out, err = run(capsys, "check", str(path), "--json")
+        doc = json.loads(out)
+        assert (code, err) == (want_code, "")
+        assert [v["valid"] for v in doc["per_class"].values()] == valid
+        assert ("witness" in doc) == (want_code == 1)
+    path.write_text(header + "h(A,C) + h(B,C) >= h(A,B,C) + h(C)\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: polymatroid check capped at n <= 10\n"
+
+
 def test_bound_triangle(capsys, tmp_path):
     path = tmp_path / "t.cst"
     path.write_text(TRIANGLE)

@@ -33,16 +33,25 @@ from entroplex import (
     from_3dmonsat,
     from_partition,
     graph,
+    is_modular,
+    is_monotone,
     is_polymatroid,
     is_simple_form,
     make_expr,
+    parse_inequality,
     partition_oracle,
     sat_oracle,
     set_representation,
     step_function,
     universe,
 )
-from entroplex.validity import DECIDABLE, SIMPLE_CLASSES, STEP_CLASSES
+import entroplex.validity as validity
+from entroplex.validity import (
+    DECIDABLE,
+    SIMPLE_CLASSES,
+    STEP_CLASSES,
+    check_per_class,
+)
 from helpers import (
     modular_brute,
     monotone_brute,
@@ -316,6 +325,127 @@ def test_class_chain_implications():
             assert step
         if step:
             assert modular
+
+
+_STANDALONE = {
+    "modular": check_modular,
+    "step": check_step,
+    "polymatroid": check_polymatroid,
+    "monotone": check_monotone_fixpoint,
+}
+_IN_CLASS = {
+    "modular": lambda w: is_modular(w.function),
+    "step": lambda w: w.function == step_function(w.function.universe, w.step_set),
+    "polymatroid": lambda w: is_polymatroid(w.function),
+    "monotone": lambda w: is_monotone(w.function),
+}
+
+
+def assert_chain_matches_standalone(expr, verdict):
+    per = verdict.per_class
+    assert tuple(per) == DECIDABLE
+    for cls, sub in per.items():
+        alone = _STANDALONE[cls](expr)
+        assert sub.valid == alone.valid, cls
+        assert sub.semantics == alone.semantics, cls
+        if not sub.valid:
+            assert_witness_sound(expr, sub)
+            assert _IN_CLASS[cls](sub.witness), cls
+        elif sub.method.startswith("implied-by-"):
+            assert sub.certificate.recombine().terms == expr.terms
+    assert verdict.valid == per["monotone"].valid
+    if verdict.valid:
+        assert verdict.certificate.recombine().terms == expr.terms
+    else:
+        first = next(cls for cls in DECIDABLE if not per[cls].valid)
+        assert verdict.witness is per[first].witness
+        assert_witness_sound(expr, verdict)
+
+
+@st.composite
+def chain_exprs(draw):
+    n = draw(st.integers(1, 4))
+    uni = universe(*[f"V{i}" for i in range(n)])
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    terms = draw(st.dictionaries(st.integers(1, uni.full_mask), coeffs, max_size=10))
+    return make_expr(uni, terms)
+
+
+@given(chain_exprs())
+@settings(max_examples=300, deadline=None)
+@example(make_expr(universe("A"), {}))
+@example(make_expr(universe(*"ABCD"), {}))
+@example(SUBMOD)  # step-Valid, monotone-Invalid, polymatroid-Valid
+@example(parse_inequality("Im(A,B,C) >= 0"))  # polymatroid-Invalid by the LP
+@example(parse_inequality("h(C) + 2*h(A,B,C) >= 2*h(A) + 2*h(B,C)"))  # step
+@example(parse_inequality("h(A,B) >= 2*h(A,C)"))  # modular-Invalid
+@example(parse_inequality("2*h(A,B,C,D) >= h(A,B) + h(C,D)"))  # monotone-Valid
+def test_chain_matches_standalone_checkers(expr):
+    assert_chain_matches_standalone(expr, check_per_class(expr))
+
+
+def test_chain_runs_lp_only_when_needed(monkeypatch):
+    """The cone LP runs exactly for the step-Valid, monotone-Invalid inputs."""
+    lp_inputs = []
+
+    def counting(expr):
+        lp_inputs.append(expr)
+        return check_polymatroid(expr)
+
+    rng = random.Random(5)
+    uni = universe("A", "B", "C")
+    exprs = [rand_expr(rng, uni) for _ in range(600)]
+    exprs = [e for e in exprs if not is_simple_form(e)]
+    needed = [
+        e for e in exprs if check_step(e).valid
+        and not check_monotone_fixpoint(e).valid
+    ]
+    monkeypatch.setattr(validity, "check_polymatroid", counting)
+    verdicts = [check(expr) for expr in exprs]
+    monkeypatch.undo()
+    assert 0 < len(needed) < len(exprs)
+    assert [e.terms for e in lp_inputs] == [e.terms for e in needed]
+    for expr, verdict in zip(exprs, verdicts):
+        assert verdict.method == "per-class"
+        assert_chain_matches_standalone(expr, verdict)
+
+
+_BIG = "vars A,B,C,D,E,F,G,H,I,J,K;\n"
+
+
+def test_chain_settles_most_inputs_above_polymatroid_cap():
+    """Eleven variables: only the step-Valid, monotone-Invalid case needs the
+    capped cone LP."""
+    cases = {
+        "h(A,B) >= 2*h(A,C)": (
+            (False, False, False, False),
+            ("modular", "implied-by-modular", "implied-by-modular",
+             "implied-by-modular"),
+        ),
+        "h(C) + 2*h(A,B,C) >= 2*h(A) + 2*h(B,C)": (
+            (True, False, False, False),
+            ("modular", "step-enumeration", "implied-by-step", "fixpoint"),
+        ),
+        "2*h(A,B,C,D) >= h(A,B) + h(C,D)": (
+            (True, True, True, True),
+            ("modular", "implied-by-monotone", "implied-by-monotone",
+             "fixpoint"),
+        ),
+    }
+    for text, (valid, methods) in cases.items():
+        expr = parse_inequality(_BIG + text)
+        assert expr.universe.n == 11 and not is_simple_form(expr)
+        verdict = check(expr)
+        per = verdict.per_class
+        assert tuple(v.valid for v in per.values()) == valid
+        assert tuple(v.method for v in per.values()) == methods
+        assert verdict.valid == valid[-1]
+        if verdict.valid:
+            assert verdict.certificate.recombine().terms == expr.terms
+        else:
+            assert_witness_sound(expr, verdict)
+    with pytest.raises(CapExceeded):
+        check(parse_inequality(_BIG + "h(A,C) + h(B,C) >= h(A,B,C) + h(C)"))
 
 
 def test_a_reduction_structure():
