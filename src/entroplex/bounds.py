@@ -16,9 +16,17 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .core import CapExceeded, DomainError, Expr, Universe, make_expr, self_check
+from .core import (
+    CapExceeded,
+    DomainError,
+    Expr,
+    Universe,
+    make_expr,
+    parse_fraction,
+    self_check,
+)
 from .lp import (
     INFEASIBLE,
     LinearProgram,
@@ -29,11 +37,11 @@ from .lp import (
 )
 from .validity import (
     FormError,
-    _elemental_rows,
+    Verdict,
+    _cone_program,
     _reduced_mask,
     POLYMATROID_MAX_N,
     check_modular,
-    check_polymatroid,
     check_simple_sigma,
     check_step,
 )
@@ -148,39 +156,29 @@ class BoundResult:
         return isinstance(self.value, Fraction)
 
     def linear_value(self) -> float:
-        """Display-only 2**value; exactness lives in log space."""
-        return math.inf if not self.is_finite else 2.0 ** float(self.value)
+        """Display-only 2**value, inf past the float range; exactness lives
+        in log space."""
+        try:
+            return 2.0 ** float(self.value)
+        except OverflowError:
+            return math.inf
 
 
 def is_acyclic(sigma: GuardedSigma) -> bool:
-    """No directed cycle among condition-to-target variable dependencies."""
+    """No directed cycle among condition-to-target variable dependencies:
+    repeatedly dropping the variables with no successor left empties it."""
     n = sigma.universe.n
-    succ: list[set[int]] = [set() for _ in range(n)]
+    succ = [0] * n  # succ[a]: targets of the conditionals whose condition has a
     for entry in sigma.entries:
-        cond = entry.sigma
         for a in range(n):
-            if cond.condition >> a & 1:
-                for b in range(n):
-                    if cond.target >> b & 1:
-                        succ[a].add(b)
-    state = [0] * n  # 0 unseen, 1 on stack, 2 done
-    for root in range(n):
-        if state[root]:
-            continue
-        stack = [(root, iter(sorted(succ[root])))]
-        state[root] = 1
-        while stack:
-            node, it = stack[-1]
-            for nxt in it:
-                if state[nxt] == 1:
-                    return False
-                if state[nxt] == 0:
-                    state[nxt] = 1
-                    stack.append((nxt, iter(sorted(succ[nxt]))))
-                    break
-            else:
-                state[node] = 2
-                stack.pop()
+            if entry.sigma.condition >> a & 1:
+                succ[a] |= entry.sigma.target
+    left = sigma.universe.full_mask
+    while left:
+        sinks = sum(1 << a for a in range(n) if left >> a & 1 and not succ[a] & left)
+        if not sinks:
+            return False
+        left &= ~sinks
     return True
 
 
@@ -207,15 +205,30 @@ def sigma_inequality(sigma: GuardedSigma, weights: Sequence[Fraction]) -> Expr:
     return make_expr(uni, acc)
 
 
-def _weight_lp_result(
-    sigma: GuardedSigma, lp: LinearProgram, method: str
+def _covering_bound(
+    sigma: GuardedSigma,
+    supports: Sequence[Sequence[int]],
+    method: str,
+    checker: Callable[[Expr], Verdict],
 ) -> BoundResult:
+    """Cheapest budget whose weights sum to at least 1 over every support;
+    the weights are re-verified by the class's own checker."""
+    lp = LinearProgram(len(sigma.entries))
+    lp.set_objective(
+        {k: entry.log_degree for k, entry in enumerate(sigma.entries)}
+    )
+    for support in supports:
+        lp.add_row({k: 1 for k in support}, ">=", 1)
     shape = lp.shape
     result = solve(lp)
     if result.status == INFEASIBLE:
         return BoundResult(math.inf, method, lp_shape=shape)
     self_check(result.status == OPTIMAL, "the objective is bounded below by 0")
-    weights = result.point[: len(sigma.entries)]
+    weights = result.point
+    self_check(
+        checker(sigma_inequality(sigma, weights)).valid,
+        f"the weights are valid over {method} functions",
+    )
     return BoundResult(result.value, method, weights=weights, lp_shape=shape)
 
 
@@ -226,25 +239,11 @@ def logbound_modular(query: Query, sigma: GuardedSigma) -> BoundResult:
     the weights of conditionals whose target holds the variable, so modular
     validity is exactly the covering program.
     """
-    uni = sigma.universe
-    lp = LinearProgram(len(sigma.entries))
-    lp.set_objective(
-        {k: entry.log_degree for k, entry in enumerate(sigma.entries)}
-    )
-    for a in range(uni.n):
-        row = {
-            k: 1
-            for k, entry in enumerate(sigma.entries)
-            if entry.sigma.target >> a & 1
-        }
-        lp.add_row(row, ">=", 1)
-    out = _weight_lp_result(sigma, lp, "modular")
-    if out.is_finite:
-        self_check(
-            check_modular(sigma_inequality(sigma, out.weights)).valid,
-            "the weights are valid over modular functions",
-        )
-    return out
+    supports = [
+        [k for k, entry in enumerate(sigma.entries) if entry.sigma.target >> a & 1]
+        for a in range(sigma.universe.n)
+    ]
+    return _covering_bound(sigma, supports, "modular", check_modular)
 
 
 def logbound_step(query: Query, sigma: GuardedSigma) -> BoundResult:
@@ -267,77 +266,61 @@ def logbound_step(query: Query, sigma: GuardedSigma) -> BoundResult:
         )
         supports.add(support)
     minimal = [s for s in supports if not any(t < s for t in supports)]
-    lp = LinearProgram(len(sigma.entries))
-    lp.set_objective(
-        {k: entry.log_degree for k, entry in enumerate(sigma.entries)}
+    return _covering_bound(
+        sigma, sorted(minimal, key=sorted), "step", check_step
     )
-    for support in sorted(minimal, key=sorted):
-        lp.add_row({k: 1 for k in support}, ">=", 1)
-    out = _weight_lp_result(sigma, lp, "step")
-    if out.is_finite:
-        self_check(
-            check_step(sigma_inequality(sigma, out.weights)).valid,
-            "the weights are valid over step functions",
-        )
-    return out
 
 
 def logbound_polymatroid_dual(query: Query, sigma: GuardedSigma) -> BoundResult:
     """Exponential oracle: maximize h(full) inside the degree-sliced cone.
 
-    The primal maximizes h of the full set over the elemental cone cut by
-    h(UV) - h(U) <= b per conditional; unbounded means no finite bound.
-    Weights come from the explicit dual program, whose rows say that the
-    weighted form dominates h(full) modulo the cone's rows. Equality of the
-    two optimal values is checked rather than assumed.
+    One LP maximizes h of the full set over the elemental cone cut by
+    h(UV) - h(U) <= b per conditional; unbounded means no finite bound. The
+    weights are the duals of the conditional rows. The elemental rows'
+    duals, negated, are multipliers lambda >= 0 that leave the weighted
+    form minus sum(lambda_e * E_e) with no negative coefficient: a Shannon
+    proof that the weights are valid over polymatroids. That remainder and
+    the budget's equality with the optimum are checked exactly.
     """
     uni = sigma.universe
     if uni.n > POLYMATROID_MAX_N:
         raise CapExceeded(
             f"polymatroid bound capped at n <= {POLYMATROID_MAX_N}"
         )
-    n_sets = uni.full_mask
-    var = {mask: mask - 1 for mask in range(1, n_sets + 1)}
-    elemental = _elemental_rows(uni)
-    primal = LinearProgram(n_sets, sense=MAXIMIZE)
-    primal.set_objective({var[uni.full_mask]: 1})
-    for row in elemental:
-        primal.add_row({var[m]: c for m, c in row.items()}, ">=", 0)
+    lp, elemental = _cone_program(uni, MAXIMIZE)
+    lp.set_objective({uni.full_mask - 1: 1})
     for entry in sigma.entries:
         cond = entry.sigma
-        row = {var[cond.joint]: 1}
+        row = {cond.joint - 1: 1}
         if cond.condition:
-            row[var[cond.condition]] = -1
-        primal.add_row(row, "<=", entry.log_degree)
-    shape = primal.shape
-    result = solve(primal)
+            row[cond.condition - 1] = -1
+        lp.add_row(row, "<=", entry.log_degree)
+    shape = lp.shape
+    result = solve(lp)
     self_check(result.status != INFEASIBLE, "the zero function is feasible")
     if result.status == UNBOUNDED:
         return BoundResult(math.inf, "polymatroid-dual", lp_shape=shape)
 
-    k = len(sigma.entries)
-    dual = LinearProgram(k + len(elemental))
-    dual.set_objective(
-        {i: entry.log_degree for i, entry in enumerate(sigma.entries)}
-    )
-    columns: dict[int, dict[int, Fraction]] = {m: {} for m in var}
-    for i, entry in enumerate(sigma.entries):
-        cond = entry.sigma
-        columns[cond.joint][i] = Fraction(1)
-        if cond.condition:
-            columns[cond.condition][i] = Fraction(-1)
-    for e, row in enumerate(elemental):
-        for m, c in row.items():
-            columns[m][k + e] = columns[m].get(k + e, Fraction(0)) - c
-    for m in sorted(var):
-        dual.add_row(columns[m], ">=", 1 if m == uni.full_mask else 0)
-    dual_result = solve(dual)
-    self_check(dual_result.status == OPTIMAL, "the dual has an optimum")
-    self_check(dual_result.value == result.value, "primal and dual agree")
-    weights = dual_result.point[:k]
+    # Elemental duals y <= 0 give the Shannon proof with multipliers -y.
+    k = len(elemental)
+    weights = result.duals[k:]
     self_check(
-        check_polymatroid(sigma_inequality(sigma, weights)).valid,
-        "the weights are valid over polymatroids",
+        all(w >= 0 for w in weights) and all(y <= 0 for y in result.duals[:k]),
+        "the weights and elemental multipliers are nonnegative",
+    )
+    remainder = dict(sigma_inequality(sigma, weights).terms)
+    for y, row in zip(result.duals, elemental):
+        if y:
+            for m, c in row.items():
+                remainder[m] = remainder.get(m, 0) + y * c
+    self_check(
+        all(c >= 0 for c in remainder.values()),
+        "the elemental multipliers prove the weights over polymatroids",
+    )
+    self_check(
+        sum(e.log_degree * w for e, w in zip(sigma.entries, weights))
+        == result.value,
+        "the weights' budget equals the optimum",
     )
     return BoundResult(
         result.value, "polymatroid-dual", weights=weights, lp_shape=shape
@@ -424,12 +407,7 @@ def logbound_simple_entropic(query: Query, sigma: GuardedSigma) -> BoundResult:
     )
     for rows in blocks:
         for xpart, wpart in rows:
-            row: dict[int, Fraction] = {
-                j: Fraction(c) for j, c in xpart.items()
-            }
-            for s, c in wpart.items():
-                if c:
-                    row[n_x + s] = row.get(n_x + s, Fraction(0)) + c
+            row = {**xpart, **{n_x + s: c for s, c in wpart.items()}}
             lp.add_row(row, ">=", 0)
     lp.add_row({n_x + w0: 1}, "=", 1)
     shape = lp.shape
@@ -592,12 +570,7 @@ def parse_constraints(text: str) -> tuple[Query, GuardedSigma]:
         m = _LOGDEG_RE.match(line)
         if m:
             guard, v_text, u_text, b_text = m.groups()
-            try:
-                b = Fraction(b_text)
-            except (ValueError, ZeroDivisionError):
-                raise DomainError(
-                    f"line {lineno}: bad log-degree {b_text!r}"
-                ) from None
+            b = parse_fraction(b_text, f"line {lineno}: bad log-degree")
             pending.append(
                 (_split_names(v_text), _split_names(u_text or ""), guard, b)
             )

@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -26,7 +27,7 @@ from .bounds import (
     parse_constraints,
     relation_from_csv,
 )
-from .core import CapExceeded, ConsistencyError, DomainError, evaluate
+from .core import CapExceeded, ConsistencyError, DomainError, evaluate, parse_fraction
 from .dsl import DslError, format_inequality, parse_inequality
 from .functions import distribution_from_csv, entropic_from_distribution
 from .reductions import (
@@ -164,14 +165,16 @@ def cmd_bound(args: argparse.Namespace) -> int:
     result = _BOUND_METHODS[method](query, sigma)
     value_text = "inf" if not result.is_finite else str(result.value)
     if args.json:
+        try:
+            value_float = float(result.value)
+        except OverflowError:  # display only; "value" stays exact
+            value_float = math.inf
         doc = {
             "schema": JSON_SCHEMA_VERSION,
             "command": "bound",
             "method": result.method,
             "value": value_text,
-            "value_float": float("inf")
-            if not result.is_finite
-            else float(result.value),
+            "value_float": value_float,
             "linear_value": result.linear_value(),
         }
         if result.weights is not None:
@@ -213,7 +216,9 @@ def _sparse_function_values(text: str) -> dict[str, Fraction]:
     for cells in rows[1:]:
         if len(cells) != 2:
             raise DomainError(f"bad set-function row {cells!r}")
-        out[cells[0].strip()] = Fraction(cells[1].strip())
+        out[cells[0].strip()] = parse_fraction(
+            cells[1].strip(), f"bad value in set-function row {cells!r}:"
+        )
     return out
 
 

@@ -37,6 +37,15 @@ def self_check(condition: bool, claim: str) -> None:
         raise ConsistencyError(f"self-check failed: {claim}")
 
 
+def parse_fraction(text: str, context: str) -> Fraction:
+    """Fraction(text); input that is not a rational number raises a
+    DomainError reading `<context> '<text>'`."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"{context} {text!r}") from None
+
+
 def max_universe_size() -> int:
     """Universe size cap; ENTROPLEX_MAX_N overrides the default of 24."""
     raw = os.environ.get("ENTROPLEX_MAX_N")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .core import DomainError, Expr, Rat, Universe
+from .core import DomainError, Expr, Rat, Universe, parse_fraction
 
 MONOTONE_ENUM_MAX_N = 5
 
@@ -259,5 +259,6 @@ def distribution_from_csv(text: str) -> JointDistribution:
         cells = [c.strip() for c in ln.split(",")]
         if len(cells) != len(header):
             raise DomainError(f"row has {len(cells)} cells, expected {len(header)}")
-        rows.append((tuple(cells[:-1]), Fraction(cells[-1])))
+        p = parse_fraction(cells[-1], f"bad probability in row {ln!r}:")
+        rows.append((tuple(cells[:-1]), p))
     return JointDistribution(uni, tuple(rows))

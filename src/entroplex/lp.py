@@ -5,7 +5,10 @@ elsewhere in this package are highly degenerate and cycling must be
 impossible rather than unlikely. Tableau rows are sparse and fraction-free
 (Bareiss style): integer numerators of the nonzero columns over one positive
 denominator per row, in lowest terms. Results cross the API boundary as
-Fraction.
+Fraction. An optimum comes with its point and the dual value of every row,
+read off the final reduced costs (no second solve): for a minimization,
+duals are >= 0 on `>=` rows and <= 0 on `<=` rows, c - A^T y >= 0, and
+sum(rhs * y) is the optimal value; maximizing flips each sign.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ class LPResult:
     value: Optional[Fraction] = None
     point: Optional[tuple[Fraction, ...]] = None
     pivots: int = 0
+    duals: Optional[tuple[Fraction, ...]] = None
 
 
 def _integer_row(values: Mapping[int, Rat]) -> tuple[dict[int, int], int]:
@@ -112,18 +116,22 @@ class _Tableau:
         # Column layout: structural vars, then one slack/surplus per inequality
         # row, then artificials as needed; the rhs sits at column ncols.
         ncols = lp.n_vars
+        sign = 1 if lp.sense == MINIMIZE else -1
         slack_col: list[Optional[int]] = [None] * m
         slack_sign: list[int] = [0] * m
+        dual_sign: list[int] = [-sign] * m  # see dual_cols below
         norm_rows: list[tuple[Mapping[int, Rat], str, Rat]] = []
         for i, (coeffs, rel, rhs) in enumerate(lp.rows):
             if rhs < 0:
                 coeffs = {j: -c for j, c in coeffs.items()}
                 rhs = -rhs
                 rel = {">=": "<=", "<=": ">=", "=": "="}[rel]
+                dual_sign[i] = sign
             norm_rows.append((coeffs, rel, rhs))
             if rel != "=":
                 slack_col[i] = ncols
                 slack_sign[i] = 1 if rel == "<=" else -1
+                dual_sign[i] *= slack_sign[i]
                 ncols += 1
 
         art_col: list[Optional[int]] = [None] * m
@@ -155,8 +163,14 @@ class _Tableau:
         self.basis = basis
         self.artificials = frozenset(c for c in art_col if c is not None)
         self.allowed = [True] * ncols
-        sign = 1 if lp.sense == MINIMIZE else -1
         self.cost = {j: sign * c for j, c in lp.objective.items()}
+        # Row i's multiplier is -red / a at its slack column (a = the slack
+        # sign) or else its artificial (a = 1), with the sign flipped back
+        # for a negated rhs and for maximizing: dual_sign[i] * red.
+        self.dual_cols = [
+            (art if slack is None else slack, f)
+            for slack, art, f in zip(slack_col, art_col, dual_sign)
+        ]
 
     def _set_reduced_costs(self, cost: Mapping[int, Rat]) -> None:
         """red_j = c_j - c_B B^-1 A_j, with -c_B x_B in the rhs slot."""
@@ -229,6 +243,10 @@ class _Tableau:
         self._set_reduced_costs(self.cost)
         return self._iterate()
 
+    def extract_duals(self) -> tuple[Fraction, ...]:
+        red, den = self.red, self.red_den
+        return tuple(Fraction(f * red.get(c, 0), den) for c, f in self.dual_cols)
+
     def extract_point(self) -> list[Fraction]:
         values = [Fraction(0)] * self.n_orig
         for i, b in enumerate(self.basis):
@@ -247,7 +265,10 @@ def solve(lp: LinearProgram) -> LPResult:
         return LPResult(UNBOUNDED, pivots=tab.pivots)
     point = tab.extract_point()
     value = sum((c * point[j] for j, c in lp.objective.items()), Fraction(0))
-    return LPResult(OPTIMAL, value=value, point=tuple(point), pivots=tab.pivots)
+    return LPResult(
+        OPTIMAL, value=value, point=tuple(point), pivots=tab.pivots,
+        duals=tab.extract_duals(),
+    )
 
 
 def feasible(lp: LinearProgram) -> tuple[bool, Optional[tuple[Fraction, ...]]]:

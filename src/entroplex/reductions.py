@@ -10,6 +10,7 @@ The oracles are deliberately brute force so round-trips are independent.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -107,19 +108,14 @@ def from_3dmonsat(phi: MonSat3Instance) -> Expr:
     """
     uni = Universe(tuple(sorted(phi.variables)))
     full = uni.full_mask
-    acc: dict[int, Fraction] = {full: Fraction(-1)}
-
-    def add(mask: int, c: int) -> None:
-        acc[mask] = acc.get(mask, Fraction(0)) + c
-
+    acc: dict[int, Fraction] = defaultdict(Fraction, {full: Fraction(-1)})
     for clause in phi.positive:
-        m = uni.mask(clause)
-        add(full, 1)
-        add(m, -1)
+        acc[full] += 1
+        acc[uni.mask(clause)] -= 1
     for clause in phi.negative:
         m = uni.mask(clause)
         for mask, c in expand_measure(uni, multi_mutual_info(m)).terms.items():
-            add(mask, int(c))
+            acc[mask] += int(c)
     return make_expr(uni, acc)
 
 
@@ -136,21 +132,17 @@ def from_3coloring(g: Graph) -> Expr:
     uni = Universe(tuple(names))
     full = uni.full_mask
     weight = 2 * len(g.vertices) + 1
-    acc: dict[int, Fraction] = {full: Fraction(-weight)}
-
-    def add(mask: int, c: int) -> None:
-        acc[mask] = acc.get(mask, Fraction(0)) + c
-
+    acc: dict[int, Fraction] = defaultdict(Fraction, {full: Fraction(-weight)})
     for v in g.vertices:
         for c in COLORS:
-            add(uni.mask([f"{v}_{c}"]), 1)
+            acc[uni.mask([f"{v}_{c}"])] += 1
         for c, d in itertools.permutations(COLORS, 2):
-            add(full, weight)
-            add(uni.mask([f"{v}_{c}", f"{v}_{d}"]), -weight)
+            acc[full] += weight
+            acc[uni.mask([f"{v}_{c}", f"{v}_{d}"])] -= weight
     for a, b in g.edges:
         for c in COLORS:
-            add(full, weight)
-            add(uni.mask([f"{a}_{c}", f"{b}_{c}"]), -weight)
+            acc[full] += weight
+            acc[uni.mask([f"{a}_{c}", f"{b}_{c}"])] -= weight
     return make_expr(uni, acc)
 
 
@@ -168,17 +160,16 @@ def from_partition(inst: PartitionInstance) -> Expr:
         raise DomainError("total sum must be even")
     uni = Universe(tuple(f"A{i + 1}" for i in range(len(items))))
     bound = (m // 2) ** 2 - 1
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, Fraction] = defaultdict(Fraction)
     if uni.full_mask:
         acc[uni.full_mask] = Fraction(bound)
     for i, j in itertools.combinations(range(len(items)), 2):
         x = items[i] * items[j]
         a, b = 1 << i, 1 << j
-
         # x(h(Ai|Aj) + h(Aj|Ai)) = x(2 h(AiAj) - h(Ai) - h(Aj))
-        acc[a] = acc.get(a, Fraction(0)) + x
-        acc[b] = acc.get(b, Fraction(0)) + x
-        acc[a | b] = acc.get(a | b, Fraction(0)) - 2 * x
+        acc[a] += x
+        acc[b] += x
+        acc[a | b] -= 2 * x
     return make_expr(uni, acc)
 
 
@@ -273,39 +264,38 @@ def decode_partition_witness(
     return side
 
 
-def _strip_comments(text: str, marker: str = "c") -> list[tuple[int, str]]:
-    out = []
+def _ints(fields: list[str], lineno: int, what: str) -> list[int]:
+    try:
+        return [int(f) for f in fields]
+    except ValueError:
+        raise DomainError(f"line {lineno}: bad {what}") from None
+
+
+def _problem(text: str, kind: str) -> tuple[list[int], list[tuple[int, list[str]]]]:
+    """The two counts of the `p <kind> <n> <m>` problem line, and the fields
+    of each later line; blank lines and `c` comment lines are skipped."""
+    lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line == marker or line.startswith(marker + " "):
-            continue
-        out.append((lineno, line))
-    return out
+        fields = raw.split()
+        if fields and fields[0] != "c":
+            lines.append((lineno, fields))
+    if not lines or lines[0][1][0] != "p":
+        raise DomainError("missing problem line")
+    lineno, fields = lines[0]
+    if len(fields) != 4 or fields[1] != kind:
+        raise DomainError(f"line {lineno}: expected `p {kind} <n> <m>`")
+    return _ints(fields[2:], lineno, "problem counts"), lines[1:]
 
 
 def parse_monsat(text: str) -> MonSat3Instance:
     """DIMACS-like: `p monsat3 <vars> <clauses>` then `+ i j k` / `- i j k`."""
-    lines = _strip_comments(text)
-    if not lines or not lines[0][1].startswith("p "):
-        raise DomainError("missing problem line")
-    lineno, problem = lines[0]
-    fields = problem.split()
-    if len(fields) != 4 or fields[1] != "monsat3":
-        raise DomainError(f"line {lineno}: expected `p monsat3 <n> <m>`")
-    try:
-        n_vars, n_clauses = int(fields[2]), int(fields[3])
-    except ValueError:
-        raise DomainError(f"line {lineno}: bad problem counts") from None
+    (n_vars, n_clauses), lines = _problem(text, "monsat3")
     variables = tuple(f"x{i}" for i in range(1, n_vars + 1))
     positive, negative = [], []
-    for lineno, line in lines[1:]:
-        fields = line.split()
-        if len(fields) != 4 or fields[0] not in "+-":
+    for lineno, fields in lines:
+        if len(fields) != 4 or fields[0] not in ("+", "-"):
             raise DomainError(f"line {lineno}: expected `+ i j k` or `- i j k`")
-        try:
-            idx = [int(f) for f in fields[1:]]
-        except ValueError:
-            raise DomainError(f"line {lineno}: bad variable index") from None
+        idx = _ints(fields[1:], lineno, "variable index")
         if any(i < 1 or i > n_vars for i in idx):
             raise DomainError(f"line {lineno}: variable index out of range")
         clause = frozenset(f"x{i}" for i in idx)
@@ -317,21 +307,13 @@ def parse_monsat(text: str) -> MonSat3Instance:
 
 def parse_graph(text: str) -> Graph:
     """DIMACS edge list: `p edge <vertices> <edges>` then `e i j`."""
-    lines = _strip_comments(text)
-    if not lines or not lines[0][1].startswith("p "):
-        raise DomainError("missing problem line")
-    lineno, problem = lines[0]
-    fields = problem.split()
-    if len(fields) != 4 or fields[1] != "edge":
-        raise DomainError(f"line {lineno}: expected `p edge <n> <m>`")
-    n_vertices, n_edges = int(fields[2]), int(fields[3])
+    (n_vertices, n_edges), lines = _problem(text, "edge")
     vertices = tuple(f"v{i}" for i in range(1, n_vertices + 1))
     edges = []
-    for lineno, line in lines[1:]:
-        fields = line.split()
+    for lineno, fields in lines:
         if len(fields) != 3 or fields[0] != "e":
             raise DomainError(f"line {lineno}: expected `e i j`")
-        i, j = int(fields[1]), int(fields[2])
+        i, j = _ints(fields[1:], lineno, "vertex index")
         if not (1 <= i <= n_vertices and 1 <= j <= n_vertices):
             raise DomainError(f"line {lineno}: vertex index out of range")
         edges.append((f"v{i}", f"v{j}"))

@@ -25,7 +25,7 @@ from .core import (
     set_representation,
 )
 from .functions import SetFunction, basic_modular, step_function
-from .lp import LinearProgram, OPTIMAL, solve
+from .lp import LinearProgram, MINIMIZE, OPTIMAL, solve
 
 POLYMATROID_MAX_N = 10
 
@@ -364,17 +364,25 @@ def _elemental_rows(uni: Universe) -> list[dict[int, int]]:
             others = full & ~pair
             k = others
             while True:
-                row = {}
-                for mask, c in (
-                    (k | 1 << i, 1), (k | 1 << j, 1), (k, -1), (k | pair, -1),
-                ):
-                    if mask:
-                        row[mask] = row.get(mask, 0) + c
-                rows.append({m: c for m, c in row.items() if c})
+                # I(i;j|K) >= 0; the four sets are distinct, only K may be empty
+                terms = ((k | 1 << i, 1), (k | 1 << j, 1), (k, -1), (k | pair, -1))
+                rows.append({mask: c for mask, c in terms if mask})
                 if k == 0:
                     break
                 k = (k - 1) & others
     return rows
+
+
+def _cone_program(
+    uni: Universe, sense: str
+) -> tuple[LinearProgram, list[dict[int, int]]]:
+    """The elemental cone as a program, one column per nonempty set (mask
+    m at column m - 1), and its elemental rows, in the program's order."""
+    elemental = _elemental_rows(uni)
+    lp = LinearProgram(uni.full_mask, sense)
+    for row in elemental:
+        lp.add_row({m - 1: c for m, c in row.items()}, ">=", 0)
+    return lp, elemental
 
 
 def check_polymatroid(expr: Expr) -> Verdict:
@@ -391,12 +399,9 @@ def check_polymatroid(expr: Expr) -> Verdict:
         )
     if not expr.terms:
         return Verdict(True, ("polymatroid",), "cone-lp")
-    var = {mask: mask - 1 for mask in range(1, uni.full_mask + 1)}
-    lp = LinearProgram(len(var))
-    lp.set_objective({var[m]: c for m, c in expr.terms.items()})
-    for row in _elemental_rows(uni):
-        lp.add_row({var[m]: c for m, c in row.items()}, ">=", 0)
-    lp.add_row({var[uni.full_mask]: 1}, "<=", 1)
+    lp, _ = _cone_program(uni, MINIMIZE)
+    lp.set_objective({m - 1: c for m, c in expr.terms.items()})
+    lp.add_row({uni.full_mask - 1: 1}, "<=", 1)
     shape = lp.shape
     result = solve(lp)
     self_check(result.status == OPTIMAL, "the slice is compact")

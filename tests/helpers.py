@@ -32,6 +32,7 @@ from entroplex.lp import (
     UNBOUNDED,
     feasible,
 )
+from entroplex.validity import _elemental_rows
 
 BOX = Fraction(10**18)
 
@@ -198,6 +199,7 @@ class _DenseTableau:
         ncols = lp.n_vars
         slack_col: list[Optional[int]] = [None] * m
         slack_sign: list[int] = [0] * m
+        flipped: list[bool] = [False] * m
         norm_rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
         for i, (coeffs, rel, rhs) in enumerate(lp.rows):
             kc = {j: Fraction(c) for j, c in coeffs.items()}
@@ -206,6 +208,7 @@ class _DenseTableau:
                 kc = {j: -c for j, c in kc.items()}
                 krhs = -krhs
                 rel = {">=": "<=", "<=": ">=", "=": "="}[rel]
+                flipped[i] = True
             norm_rows.append((kc, rel, krhs))
             if rel != "=":
                 slack_col[i] = ncols
@@ -249,6 +252,17 @@ class _DenseTableau:
         for j, c in lp.objective.items():
             self.cost[j] = sign * Fraction(c)
         self.sense_sign = sign
+        # The column whose reduced cost gives row i's multiplier, and that
+        # column's entry in the row before the basic-surplus negation.
+        self.dual_source = []
+        for i in range(m):
+            if slack_col[i] is not None:
+                col, entry = slack_col[i], Fraction(slack_sign[i])
+            else:
+                col, entry = art_col[i], _ONE
+            if flipped[i]:
+                entry = -entry
+            self.dual_source.append((col, entry))
 
     def _reduced_cost_row(self, cost: Sequence[Fraction]) -> list[Fraction]:
         """r_j = c_j - c_B B^-1 A_j, with the current rhs in the last slot."""
@@ -334,6 +348,14 @@ class _DenseTableau:
         status = self._iterate(red)
         return status, red
 
+    def extract_duals(self, red: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        """y = c_B B^-1 from red_j = c_j - y.A_j at a zero-cost column,
+        restated for the rows as given (the rhs negation undone) and for
+        the program's own sense."""
+        return tuple(
+            self.sense_sign * -red[col] / entry for col, entry in self.dual_source
+        )
+
     def extract_point(self) -> list[Fraction]:
         values = [_ZERO] * self.ncols
         for i, b in enumerate(self.basis):
@@ -353,7 +375,10 @@ def dense_solve(lp: LinearProgram) -> LPResult:
         return LPResult(UNBOUNDED, pivots=tab.pivots)
     point = tab.extract_point()
     value = sum((c * point[j] for j, c in lp.objective.items()), Fraction(0))
-    return LPResult(OPTIMAL, value=value, point=tuple(point), pivots=tab.pivots)
+    return LPResult(
+        OPTIMAL, value=value, point=tuple(point), pivots=tab.pivots,
+        duals=tab.extract_duals(red),
+    )
 
 
 def dense_feasible(lp: LinearProgram) -> tuple[bool, Optional[tuple[Fraction, ...]]]:
@@ -408,6 +433,35 @@ def rand_sigma(rng: random.Random, n_max=5, simple=False, acyclic=False):
         b = Fraction(rng.randint(0, 3 * d), d)
         entries.append(GuardedEntry(conditional(v, u), 0, b))
     return query, GuardedSigma(uni, tuple(entries))
+
+
+def polymatroid_bound_dual_program(sigma) -> LinearProgram:
+    """The explicit dual the polymatroid bound used to solve second:
+    minimize the budget sum(b_i * w_i) over weights w >= 0 and elemental
+    multipliers lam >= 0 such that, set by set, the weighted form minus
+    sum(lam_e * E_e) covers h(full). Infeasible exactly when the bound is
+    infinite; otherwise its optimum is the bound."""
+    uni = sigma.universe
+    k = len(sigma.entries)
+    elemental = _elemental_rows(uni)
+    dual = LinearProgram(k + len(elemental))
+    dual.set_objective(
+        {i: entry.log_degree for i, entry in enumerate(sigma.entries)}
+    )
+    columns: dict[int, dict[int, Fraction]] = {
+        m: {} for m in range(1, uni.full_mask + 1)
+    }
+    for i, entry in enumerate(sigma.entries):
+        cond = entry.sigma
+        columns[cond.joint][i] = Fraction(1)
+        if cond.condition:
+            columns[cond.condition][i] = Fraction(-1)
+    for e, row in enumerate(elemental):
+        for m, c in row.items():
+            columns[m][k + e] = columns[m].get(k + e, Fraction(0)) - c
+    for m in sorted(columns):
+        dual.add_row(columns[m], ">=", 1 if m == uni.full_mask else 0)
+    return dual
 
 
 def product_join(atom_schemas, relations):

@@ -1,5 +1,6 @@
 """Output-size bounds: the four methods, data-side scans, constraint parsing."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -7,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+import entroplex.bounds as bounds_mod
 from entroplex import (
     CapExceeded,
+    ConsistencyError,
     DomainError,
     GuardedEntry,
     GuardedSigma,
@@ -33,7 +36,13 @@ from entroplex import (
     sigma_inequality,
     universe,
 )
-from helpers import product_join, rand_sigma
+from entroplex.lp import INFEASIBLE, OPTIMAL
+from helpers import (
+    dense_solve,
+    polymatroid_bound_dual_program,
+    product_join,
+    rand_sigma,
+)
 
 ALL_METHODS = (
     logbound_modular,
@@ -205,6 +214,64 @@ def test_polymatroid_beats_or_equals_step():
         step = logbound_step(query, sigma)
         poly = logbound_polymatroid_dual(query, sigma)
         assert poly.value <= step.value
+
+
+def cyclic_system(rng, n):
+    """R_i(V_i, V_i+1, V_i+2) around a cycle, each with a cardinality and a
+    degree constraint: cyclic and not simple."""
+    names = [f"V{i}" for i in range(n)]
+    atoms = [(names[i], names[(i + 1) % n], names[(i + 2) % n]) for i in range(n)]
+    lines = ["query Q(%s) = %s" % (",".join(names), ", ".join(
+        f"R{i}({','.join(a)})" for i, a in enumerate(atoms)))]
+    for i, (a, b, c) in enumerate(atoms):
+        lines.append(f"card R{i} <= {2 ** rng.randint(2, 5)}")
+        lines.append(f"logdeg R{i} ({c} | {a},{b}) <= {rng.randint(0, 2)}")
+    return parse_constraints("\n".join(lines))
+
+
+def test_polymatroid_bound_one_lp_matches_dual_program(monkeypatch):
+    """One LP per call; the value equals the explicit dual program's, and
+    the weights read off its duals are a checked proof. Corrupted duals
+    fail the self-check."""
+    real = bounds_mod.solve
+    calls = []
+
+    def counting(lp):
+        calls.append(lp)
+        return real(lp)
+
+    monkeypatch.setattr(bounds_mod, "solve", counting)
+    rng = random.Random(20261018)
+    systems = [cyclic_system(rng, n) for n in (4, 4, 4, 5, 5)]
+    systems += [rand_sigma(rng, n_max=5) for _ in range(30)]
+    finite = 0
+    for query, sigma in systems:
+        calls.clear()
+        result = logbound_polymatroid_dual(query, sigma)
+        assert len(calls) == 1
+        oracle = dense_solve(polymatroid_bound_dual_program(sigma))
+        if oracle.status == INFEASIBLE:
+            assert result.value == math.inf and result.weights is None
+            continue
+        finite += 1
+        assert oracle.status == OPTIMAL
+        assert result.value == oracle.value
+        budget = sum(w * e.log_degree for w, e in zip(result.weights, sigma.entries))
+        assert budget == result.value
+        assert check_polymatroid(sigma_inequality(sigma, result.weights)).valid
+    assert finite >= 20
+
+    query, sigma = triangle()
+    for corrupt in (lambda y: 0 * y, lambda y: -y, lambda y: 2 * y):
+        def corrupted(lp, corrupt=corrupt):
+            res = real(lp)
+            return dataclasses.replace(
+                res, duals=tuple(corrupt(y) for y in res.duals)
+            )
+
+        monkeypatch.setattr(bounds_mod, "solve", corrupted)
+        with pytest.raises(ConsistencyError):
+            logbound_polymatroid_dual(query, sigma)
 
 
 def test_sigma_inequality_shape():

@@ -210,6 +210,23 @@ def test_bound_unbounded(capsys, tmp_path):
     assert json.loads(out)["value"] == "inf"
 
 
+def test_bound_past_float_range(capsys, tmp_path):
+    """A finite bound of 1024 bits or more prints inf for its display-only
+    floats and keeps its exact value."""
+    path = tmp_path / "big.cst"
+    path.write_text("query Q(A) = R(A)\ncard R <= 2^1100\n")
+    code, out, _ = run(capsys, "bound", str(path))
+    assert code == 0
+    assert "log-bound: 1100" in out
+    assert "2^value: inf" in out
+    code, out, _ = run(capsys, "bound", str(path), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["value"] == "1100"
+    assert doc["value_float"] == 1100.0
+    assert doc["linear_value"] == float("inf")
+
+
 def test_bound_auto_warns_on_hard_shape(capsys, tmp_path):
     path = tmp_path / "hard.cst"
     path.write_text(
@@ -286,6 +303,24 @@ def test_eval_rejects_unknown_format(capsys, tmp_path):
     code, _, err = run(capsys, "eval", str(ineq), str(data))
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "data, bad",
+    [
+        ("set,value\n{A},abc\n", "'abc'"),
+        ("set,value\n{A},1/0\n", "'1/0'"),
+        ("A,prob\n0,x\n1,1/2\n", "'0,x'"),
+    ],
+)
+def test_eval_rejects_malformed_number(capsys, tmp_path, data, bad):
+    ineq = tmp_path / "e.ineq"
+    ineq.write_text("h(A) >= 0\n")
+    path = tmp_path / "bad.csv"
+    path.write_text(data)
+    code, _, err = run(capsys, "eval", str(ineq), str(path))
+    assert code == 2
+    assert err.startswith("error: bad ") and bad in err
 
 
 def test_degscan(capsys, tmp_path):

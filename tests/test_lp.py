@@ -190,13 +190,33 @@ def programs(draw):
 @example(_lp(2, MAXIMIZE, {0: Fraction(2, 3)}, [({1: 1}, "=", 3)]))  # unbounded
 @settings(max_examples=300, deadline=None)
 def test_sparse_kernel_matches_dense_tableau(lp):
-    assert solve(lp) == dense_solve(lp)
+    res = solve(lp)
+    assert res == dense_solve(lp)
     assert feasible(lp) == dense_feasible(lp)
+    if res.status != OPTIMAL:
+        assert res.duals is None
+        return
+    # The duals certify the optimum: sign by relation and sense, reduced
+    # costs c - A^T y of the optimal sign, and sum(rhs * y) == value.
+    sign = 1 if lp.sense == MINIMIZE else -1
+    assert len(res.duals) == len(lp.rows)
+    for (_, rel, _), y in zip(lp.rows, res.duals):
+        if rel == ">=":
+            assert sign * y >= 0
+        elif rel == "<=":
+            assert sign * y <= 0
+    for j in range(lp.n_vars):
+        reduced = lp.objective.get(j, 0) - sum(
+            y * coeffs.get(j, 0) for (coeffs, _, _), y in zip(lp.rows, res.duals)
+        )
+        assert sign * reduced >= 0
+    assert sum(rhs * y for (_, _, rhs), y in zip(lp.rows, res.duals)) == res.value
 
 
 def test_package_programs_match_dense_tableau(monkeypatch):
     """Every LP that check_polymatroid (n=4) and the four bound methods
-    build: same status, value, point and pivot count as the dense tableau."""
+    build: same status, value, point, pivot count and duals as the dense
+    tableau."""
     built = []
 
     def recording(real):
@@ -221,7 +241,7 @@ def test_package_programs_match_dense_tableau(monkeypatch):
         query, sigma = rand_sigma(rng, n_max=4, simple=True)
         for method in methods:
             method(query, sigma)
-    assert len(built) > 60
+    assert len(built) == 60  # 12 cone checks, then one LP per bound call
     for lp in built:
         assert solve(lp) == dense_solve(lp)
         assert feasible(lp) == dense_feasible(lp)

@@ -222,6 +222,20 @@ def test_parse_graph():
         parse_graph("p graph 2 0\n")
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_graph, "p edge x 1\ne 1 2\n", "line 1: bad problem counts"),
+        (parse_graph, "p edge 2 1\ne 1 y\n", "line 2: bad vertex index"),
+        (parse_monsat, "p monsat3 4 z\n+ 1 2 3\n", "line 1: bad problem counts"),
+        (parse_monsat, "p monsat3 4 1\n+- 1 2 3\n", "line 2: expected"),
+    ],
+)
+def test_parse_instance_rejects_malformed_fields(parse, text, message):
+    with pytest.raises(DomainError, match=message):
+        parse(text)
+
+
 def test_parse_partition():
     assert parse_partition(" 1 3\n").items == (1, 3)
     with pytest.raises(DomainError):
