@@ -39,7 +39,6 @@ from .validity import (
     FormError,
     Verdict,
     _cone_program,
-    _reduced_mask,
     POLYMATROID_MAX_N,
     check_modular,
     check_simple_sigma,
@@ -205,31 +204,40 @@ def sigma_inequality(sigma: GuardedSigma, weights: Sequence[Fraction]) -> Expr:
     return make_expr(uni, acc)
 
 
-def _covering_bound(
+def _weight_bound(
     sigma: GuardedSigma,
-    supports: Sequence[Sequence[int]],
+    lp: LinearProgram,
     method: str,
     checker: Callable[[Expr], Verdict],
 ) -> BoundResult:
-    """Cheapest budget whose weights sum to at least 1 over every support;
-    the weights are re-verified by the class's own checker."""
-    lp = LinearProgram(len(sigma.entries))
+    """Minimize the budget over the entry weights, the program's last
+    columns; an infeasible program means no finite bound. The optimal
+    weights are re-verified by the class's own checker."""
+    first = lp.n_vars - len(sigma.entries)
     lp.set_objective(
-        {k: entry.log_degree for k, entry in enumerate(sigma.entries)}
+        {first + k: entry.log_degree for k, entry in enumerate(sigma.entries)}
     )
-    for support in supports:
-        lp.add_row({k: 1 for k in support}, ">=", 1)
     shape = lp.shape
     result = solve(lp)
     if result.status == INFEASIBLE:
         return BoundResult(math.inf, method, lp_shape=shape)
     self_check(result.status == OPTIMAL, "the objective is bounded below by 0")
-    weights = result.point
+    weights = result.point[first:]
     self_check(
         checker(sigma_inequality(sigma, weights)).valid,
         f"the weights are valid over {method} functions",
     )
     return BoundResult(result.value, method, weights=weights, lp_shape=shape)
+
+
+def _covering_program(
+    sigma: GuardedSigma, supports: Sequence[Sequence[int]]
+) -> LinearProgram:
+    """Weights summing to at least 1 over every support."""
+    lp = LinearProgram(len(sigma.entries))
+    for support in supports:
+        lp.add_row({k: 1 for k in support}, ">=", 1)
+    return lp
 
 
 def logbound_modular(query: Query, sigma: GuardedSigma) -> BoundResult:
@@ -243,7 +251,8 @@ def logbound_modular(query: Query, sigma: GuardedSigma) -> BoundResult:
         [k for k, entry in enumerate(sigma.entries) if entry.sigma.target >> a & 1]
         for a in range(sigma.universe.n)
     ]
-    return _covering_bound(sigma, supports, "modular", check_modular)
+    lp = _covering_program(sigma, supports)
+    return _weight_bound(sigma, lp, "modular", check_modular)
 
 
 def logbound_step(query: Query, sigma: GuardedSigma) -> BoundResult:
@@ -266,9 +275,8 @@ def logbound_step(query: Query, sigma: GuardedSigma) -> BoundResult:
         )
         supports.add(support)
     minimal = [s for s in supports if not any(t < s for t in supports)]
-    return _covering_bound(
-        sigma, sorted(minimal, key=sorted), "step", check_step
-    )
+    lp = _covering_program(sigma, sorted(minimal, key=sorted))
+    return _weight_bound(sigma, lp, "step", check_step)
 
 
 def logbound_polymatroid_dual(query: Query, sigma: GuardedSigma) -> BoundResult:
@@ -330,99 +338,60 @@ def logbound_polymatroid_dual(query: Query, sigma: GuardedSigma) -> BoundResult:
 def logbound_simple_entropic(query: Query, sigma: GuardedSigma) -> BoundResult:
     """Polynomial-size entropic bound for simple constraint systems.
 
-    The weighted form is kept symbolic in w. For each variable A its
-    one-variable reduction has coefficient sums c_A and d_A that are linear
-    in w, with the full-set term of the weighted form homogenized through a
-    pseudo-weight pinned to 1 by an equality row. The block for A encodes
-    feasibility of the pairing program of the reduced inequality, lists kept
-    unmerged with both full-set terms present, plus the row c_A - d_A >= 0;
-    a shared-column selector stacks the blocks into one program. Feasible
-    weightings are exactly those valid over the entropic class, so
-    minimizing the budget over the stack gives the bound. The returned
-    weights are re-verified through the reduction pipeline.
+    With conditions of size <= 1 the weighted form is valid over entropic
+    functions iff, for every variable A, c_A >= d_A and the A-reduction is
+    valid over monotone functions. Here c_A - d_A is the sum of the weights
+    whose target holds A, minus 1: the covering row of A. The reduction
+    supplies w_k on the joint of each entry avoiding A and the covering
+    slack on the set of all other variables, and demands w_k at {b} for
+    each condition {b} with b != A; monotone validity is a transport from
+    the suppliers to the singletons they contain. So the block of A is one
+    demand row per condition variable b, one supply row per supplier set,
+    then the covering row, with one flow column per supplier and b in it.
+
+    The constant 1 is a pseudo-weight pinned by the one equality row, and
+    every other row reads >= 0. The columns are the flows, the constant,
+    then the weights: Bland's rule pivots through that order much faster
+    than with the weights first, and through each block faster in the row
+    order above than with the covering row first. The weights are
+    re-verified by check_simple_sigma.
     """
     if not is_simple(sigma):
         raise FormError("entropic bound requires conditions of size <= 1")
     uni = sigma.universe
-    k = len(sigma.entries)
-    w0 = k  # pseudo-weight homogenizing the full-set constant
-    n_w = k + 1
-
-    blocks: list[list[tuple[dict[int, int], dict[int, Fraction]]]] = []
-    n_x = 0
+    rows: list[tuple[dict[int, int], dict[int, int]]] = []  # (flows, weights)
+    col = 0
     for a in range(uni.n):
         bit = 1 << a
-        c_form: dict[int, Fraction] = {}
-        d_form: dict[int, Fraction] = {w0: Fraction(1)}
-        lhs: list[tuple[int, dict[int, Fraction]]] = []
-        rhs: list[tuple[int, dict[int, Fraction]]] = []
+        cover = {s: 1 for s, e in enumerate(sigma.entries) if e.sigma.target & bit}
+        cover[-1] = -1  # the pinned constant
+        supply = {uni.full_mask & ~bit: dict(cover)}  # the covering slack
+        demand: dict[int, dict[int, int]] = {}
         for s, entry in enumerate(sigma.entries):
             cond = entry.sigma
-            if cond.joint & bit:
-                c_form[s] = c_form.get(s, Fraction(0)) + 1
-            else:
-                lhs.append((_reduced_mask(cond.joint, a), {s: Fraction(1)}))
-            if cond.condition & bit:
-                d_form[s] = d_form.get(s, Fraction(0)) + 1
-            elif cond.condition:
-                rhs.append(
-                    (_reduced_mask(cond.condition, a), {s: Fraction(1)})
-                )
-        rows: list[tuple[dict[int, int], dict[int, Fraction]]] = []
-        if uni.n > 1:
-            full_red = (1 << (uni.n - 1)) - 1
-            lhs.insert(0, (full_red, c_form))
-            rhs.insert(0, (full_red, d_form))
-            pair_at: dict[tuple[int, int], int] = {}
-            for i, (y, _) in enumerate(rhs):
-                for j, (x, _) in enumerate(lhs):
-                    if y & ~x == 0:
-                        pair_at[(i, j)] = n_x
-                        n_x += 1
-            for i, (y, d_i) in enumerate(rhs):
-                xpart = {
-                    pair_at[(i, j)]: 1
-                    for j in range(len(lhs))
-                    if (i, j) in pair_at
-                }
-                rows.append((xpart, {s: -c for s, c in d_i.items()}))
-            for j, (x, c_j) in enumerate(lhs):
-                xpart = {
-                    pair_at[(i, j)]: -1
-                    for i in range(len(rhs))
-                    if (i, j) in pair_at
-                }
-                rows.append((xpart, dict(c_j)))
-        margin = dict(c_form)
-        for s, c in d_form.items():
-            margin[s] = margin.get(s, Fraction(0)) - c
-        rows.append(({}, margin))
-        blocks.append(rows)
-
-    # Selector composition: every block's weight slots read the shared
-    # (w, w0) columns sitting after the pairing variables.
-    lp = LinearProgram(n_x + n_w)
-    lp.set_objective(
-        {n_x + s: entry.log_degree for s, entry in enumerate(sigma.entries)}
-    )
-    for rows in blocks:
-        for xpart, wpart in rows:
-            row = {**xpart, **{n_x + s: c for s, c in wpart.items()}}
-            lp.add_row(row, ">=", 0)
-    lp.add_row({n_x + w0: 1}, "=", 1)
-    shape = lp.shape
-    result = solve(lp)
-    if result.status == INFEASIBLE:
-        return BoundResult(math.inf, "simple-entropic", lp_shape=shape)
-    self_check(result.status == OPTIMAL, "the objective is bounded below by 0")
-    weights = result.point[n_x : n_x + k]
-    self_check(
-        check_simple_sigma(sigma_inequality(sigma, weights)).valid,
-        "the weights are valid over the simple fragment",
-    )
-    return BoundResult(
-        result.value, "simple-entropic", weights=weights, lp_shape=shape
-    )
+            if not cond.joint & bit:
+                supply.setdefault(cond.joint, {})[s] = 1
+            if cond.condition & ~bit:
+                demand.setdefault(cond.condition, {})[s] = -1
+        inflow: dict[int, dict[int, int]] = {b: {} for b in demand}
+        outflows = []
+        for x, form in supply.items():
+            outflow = {}
+            for b in demand:
+                if not b & ~x:
+                    outflow[col] = -1
+                    inflow[b][col] = 1
+                    col += 1
+            if outflow:
+                outflows.append((outflow, form))
+        rows += [(inflow[b], form) for b, form in demand.items()]
+        rows += outflows
+        rows.append(({}, cover))
+    lp = LinearProgram(col + 1 + len(sigma.entries))
+    for flows, form in rows:
+        lp.add_row({**flows, **{col + 1 + s: c for s, c in form.items()}}, ">=", 0)
+    lp.add_row({col: 1}, "=", 1)
+    return _weight_bound(sigma, lp, "simple-entropic", check_simple_sigma)
 
 
 @dataclass(frozen=True)

@@ -229,11 +229,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if first and first[-1] == "prob":
         dist = distribution_from_csv(data)
         vector = entropic_from_distribution(dist)
-        total = 0.0
-        for mask, coeff in expr.terms.items():
-            names = expr.universe.names_of(mask)
-            total += float(coeff) * vector[dist.universe.mask(names)]
-        print(total)
+        total = sum(
+            coeff * Fraction(vector[dist.universe.mask(expr.universe.names_of(m))])
+            for m, coeff in expr.terms.items()
+        )
+        try:
+            print(float(total))
+        except OverflowError:
+            print(math.inf if total > 0 else -math.inf)
     elif first == ["set", "value"]:
         table = _sparse_function_values(data)
         values: dict[int, Fraction] = {}

@@ -115,25 +115,38 @@ def is_monotone(fn: SetFunction) -> bool:
     return True
 
 
-def is_polymatroid(fn: SetFunction) -> bool:
-    """Monotone plus submodular, checked through the elemental inequalities."""
-    if not is_monotone(fn):
-        return False
-    n = fn.universe.n
+def _elemental_rows(uni: Universe) -> list[dict[int, int]]:
+    """Minimal generating inequalities of the polymatroid cone, h({}) = 0."""
+    n = uni.n
+    full = uni.full_mask
+    rows: list[dict[int, int]] = []
+    for i in range(n):
+        row = {full: 1}
+        rest = full & ~(1 << i)
+        if rest:
+            row[rest] = -1
+        rows.append(row)
     for i in range(n):
         for j in range(i + 1, n):
             pair = (1 << i) | (1 << j)
-            others = fn.universe.full_mask & ~pair
+            others = full & ~pair
             k = others
             while True:
-                # I(i;j|K) >= 0 for every K disjoint from {i,j}
-                lhs = fn.values[k | 1 << i] + fn.values[k | 1 << j]
-                if lhs < fn.values[k] + fn.values[k | pair]:
-                    return False
+                # I(i;j|K) >= 0; the four sets are distinct, only K may be empty
+                terms = ((k | 1 << i, 1), (k | 1 << j, 1), (k, -1), (k | pair, -1))
+                rows.append({mask: c for mask, c in terms if mask})
                 if k == 0:
                     break
                 k = (k - 1) & others
-    return True
+    return rows
+
+
+def is_polymatroid(fn: SetFunction) -> bool:
+    """Monotone plus submodular: every elemental inequality holds."""
+    return all(
+        sum(c * fn.values[m] for m, c in row.items()) >= 0
+        for row in _elemental_rows(fn.universe)
+    )
 
 
 def is_modular(fn: SetFunction) -> bool:

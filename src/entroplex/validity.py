@@ -24,7 +24,7 @@ from .core import (
     self_check,
     set_representation,
 )
-from .functions import SetFunction, basic_modular, step_function
+from .functions import SetFunction, _elemental_rows, basic_modular, step_function
 from .lp import LinearProgram, MINIMIZE, OPTIMAL, solve
 
 POLYMATROID_MAX_N = 10
@@ -345,32 +345,6 @@ def check_monotone_fixpoint(expr: Expr) -> Verdict:
 
 # Kept under its old name: the one monotone decider, not a second path.
 check_monotone_lp = check_monotone_fixpoint
-
-
-def _elemental_rows(uni: Universe) -> list[dict[int, int]]:
-    """Minimal generating inequalities of the polymatroid cone, h({}) = 0."""
-    n = uni.n
-    full = uni.full_mask
-    rows: list[dict[int, int]] = []
-    for i in range(n):
-        row = {full: 1}
-        rest = full & ~(1 << i)
-        if rest:
-            row[rest] = -1
-        rows.append(row)
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair = (1 << i) | (1 << j)
-            others = full & ~pair
-            k = others
-            while True:
-                # I(i;j|K) >= 0; the four sets are distinct, only K may be empty
-                terms = ((k | 1 << i, 1), (k | 1 << j, 1), (k, -1), (k | pair, -1))
-                rows.append({mask: c for mask, c in terms if mask})
-                if k == 0:
-                    break
-                k = (k - 1) & others
-    return rows
 
 
 def _cone_program(

@@ -17,6 +17,7 @@ from entroplex import (
     basic_modular,
     enumerate_monotone_boolean,
     evaluate,
+    is_monotone,
     make_expr,
     set_representation,
     step_function,
@@ -32,7 +33,7 @@ from entroplex.lp import (
     UNBOUNDED,
     feasible,
 )
-from entroplex.validity import _elemental_rows
+from entroplex.functions import _elemental_rows
 
 BOX = Fraction(10**18)
 
@@ -405,15 +406,20 @@ def rand_lp(rng: random.Random) -> LinearProgram:
     return lp
 
 
-def rand_sigma(rng: random.Random, n_max=5, simple=False, acyclic=False):
-    """Random guarded degree system over a single all-covering atom."""
+def rand_sigma(
+    rng: random.Random, n_max=5, simple=False, acyclic=False, n_min=1,
+    entries_range=None,
+):
+    """Random guarded degree system over a single all-covering atom, with
+    1 to 5 entries (6 if simple) unless entries_range gives the bounds."""
     from entroplex import GuardedEntry, GuardedSigma, Query, conditional
 
-    n = rng.randint(1, n_max)
+    n = rng.randint(n_min, n_max)
     uni = universe(*[f"V{i}" for i in range(n)])
     query = Query(uni, (("R0", uni.full_mask),))
     entries = []
-    for _ in range(rng.randint(1, 5 if not simple else 6)):
+    lo, hi = entries_range or (1, 6 if simple else 5)
+    for _ in range(rng.randint(lo, hi)):
         if acyclic:
             # condition entirely before the target in variable order
             split = rng.randint(0, n - 1)
@@ -462,6 +468,15 @@ def polymatroid_bound_dual_program(sigma) -> LinearProgram:
     for m in sorted(columns):
         dual.add_row(columns[m], ">=", 1 if m == uni.full_mask else 0)
     return dual
+
+
+def polymatroid_brute(fn) -> bool:
+    """Monotone, and f(S) + f(T) >= f(S | T) + f(S & T) for every pair."""
+    size = 1 << fn.universe.n
+    v = fn.values
+    return is_monotone(fn) and all(
+        v[s] + v[t] >= v[s | t] + v[s & t] for s in range(size) for t in range(size)
+    )
 
 
 def product_join(atom_schemas, relations):

@@ -13,6 +13,7 @@ from entroplex import (
     CapExceeded,
     ConsistencyError,
     DomainError,
+    FormError,
     GuardedEntry,
     GuardedSigma,
     Query,
@@ -204,6 +205,35 @@ def test_cyclic_detected():
     )
     assert not is_simple(fat)
     assert is_acyclic(fat)
+
+
+def test_simple_entropic_rejects_non_simple():
+    uni = universe("A", "B", "C")
+    fat = GuardedSigma(
+        uni, (GuardedEntry(conditional(0b100, 0b011), 0, Fraction(1)),)
+    )
+    with pytest.raises(FormError, match="conditions of size <= 1"):
+        logbound_simple_entropic(Query(uni, (("R0", 7),)), fat)
+
+
+def test_simple_entropic_equals_step_beyond_criterion_08():
+    """Larger simple systems than criterion 08 reaches: the bound equals the
+    step bound, and the weights' budget is the bound."""
+    rng = random.Random(7010)
+    finite = 0
+    for _ in range(40):
+        query, sigma = rand_sigma(
+            rng, n_min=7, n_max=10, simple=True, entries_range=(6, 12)
+        )
+        result = logbound_simple_entropic(query, sigma)
+        assert result.value == logbound_step(query, sigma).value
+        if result.is_finite:
+            finite += 1
+            budget = sum(
+                w * e.log_degree for w, e in zip(result.weights, sigma.entries)
+            )
+            assert budget == result.value
+    assert finite >= 30
 
 
 def test_polymatroid_beats_or_equals_step():

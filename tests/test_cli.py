@@ -200,6 +200,14 @@ def test_bound_triangle(capsys, tmp_path):
     assert doc["weights"] == ["1/2", "1/2", "1/2"]
 
 
+def test_bound_simple_method_rejects_non_simple(capsys, tmp_path):
+    path = tmp_path / "fat.cst"
+    path.write_text("query Q(A,B,C) = R1(A,B,C)\nlogdeg R1 (C | A,B) <= 1\n")
+    code, out, err = run(capsys, "bound", str(path), "--method", "simple")
+    assert (code, out) == (2, "")
+    assert err == "error: entropic bound requires conditions of size <= 1\n"
+
+
 def test_bound_unbounded(capsys, tmp_path):
     path = tmp_path / "u.cst"
     path.write_text("query Q(A,B) = R1(A,B)\nlogdeg R1 (A) <= 1\n")
@@ -273,6 +281,23 @@ def test_eval_distribution(capsys, tmp_path):
     code, out, _ = run(capsys, "eval", str(ineq), str(data))
     assert code == 0
     assert abs(float(out) + 1.0) < 1e-9
+
+
+def test_eval_distribution_huge_coefficient(capsys, tmp_path):
+    """Coefficients past the float range are summed exactly; only a total
+    past that range prints as inf."""
+    ineq = tmp_path / "big.ineq"
+    ineq.write_text("1" + "0" * 400 + "*h(B) >= h(A)\n")
+    data = tmp_path / "d.csv"
+    data.write_text("A,B,prob\n0,0,1/2\n1,0,1/2\n")  # B constant
+    code, out, err = run(capsys, "eval", str(ineq), str(data))
+    assert (code, out, err) == (0, "-1.0\n", "")
+    data.write_text("A,B,prob\n0,0,1/2\n1,1,1/2\n")
+    code, out, err = run(capsys, "eval", str(ineq), str(data))
+    assert (code, out, err) == (0, "inf\n", "")
+    ineq.write_text("h(A) >= 1" + "0" * 400 + "*h(B)\n")
+    code, out, err = run(capsys, "eval", str(ineq), str(data))
+    assert (code, out, err) == (0, "-inf\n", "")
 
 
 def test_eval_set_function_exact(capsys, tmp_path):

@@ -23,6 +23,7 @@ from entroplex import (
     zero_function,
 )
 from entroplex.functions import StepValues
+from helpers import polymatroid_brute
 
 XOR_CSV = "A,B,C,prob\n0,0,0,1/4\n0,1,1,1/4\n1,0,1,1/4\n1,1,0,1/4\n"
 
@@ -101,6 +102,30 @@ def test_classifier_chain_on_knowns():
 
     dip = from_values(universe("A", "B"), [0, 1, 1, 0])
     assert not is_monotone(dip)
+
+
+@st.composite
+def near_polymatroids(draw):
+    """Sums of step functions (polymatroids), sometimes with a few values
+    bumped up or down."""
+    n = draw(st.integers(1, 4))
+    size = 1 << n
+    values = [0] * size
+    for v in draw(st.lists(st.integers(1, size - 1), max_size=4)):
+        c = draw(st.integers(1, 3))
+        for m in range(size):
+            if m & v:
+                values[m] += c
+    bumps = st.tuples(st.integers(1, size - 1), st.integers(-2, 2))
+    for m, d in draw(st.lists(bumps, max_size=2)):
+        values[m] += d
+    return from_values(universe(*"ABCD"[:n]), values)
+
+
+@given(near_polymatroids())
+@settings(max_examples=300, deadline=None)
+def test_is_polymatroid_matches_brute_force(fn):
+    assert is_polymatroid(fn) == polymatroid_brute(fn)
 
 
 def test_modular_needs_nonnegative_weights():

@@ -557,6 +557,11 @@ try:
     bounds.logbound_modular(query, sigma)
 except ConsistencyError as exc:
     print("weights:", exc)
+bounds.check_simple_sigma = bounds.check_modular
+try:
+    bounds.logbound_simple_entropic(query, sigma)
+except ConsistencyError as exc:
+    print("simple weights:", exc)
 """
 
 
@@ -579,4 +584,8 @@ def test_self_checks_survive_python_O():
     assert lines[2] == (
         "weights: self-check failed: the weights are valid over modular "
         "functions"
+    )
+    assert lines[3] == (
+        "simple weights: self-check failed: the weights are valid over "
+        "simple-entropic functions"
     )
