@@ -273,7 +273,10 @@ def evaluate(expr: Expr, values: Mapping[int, Rat]) -> Fraction:
     """Exact value of the linear form at a set function given as mask -> value."""
     total = Fraction(0)
     for mask, coeff in expr.terms.items():
-        total += coeff * Fraction(values[mask])
+        value = values[mask]
+        if not isinstance(value, Fraction):
+            value = Fraction(value)  # exact, floats included
+        total += coeff * value
     return total
 
 

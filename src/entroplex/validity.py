@@ -359,7 +359,14 @@ def _cone_program(
     return lp, elemental
 
 
-def check_polymatroid(expr: Expr) -> Verdict:
+def _polymatroid_cap(uni: Universe) -> None:
+    if uni.n > POLYMATROID_MAX_N:
+        raise CapExceeded(
+            f"polymatroid check capped at n <= {POLYMATROID_MAX_N}"
+        )
+
+
+def _cone_lp(expr: Expr) -> Verdict:
     """Minimize the form over the polymatroid cone sliced at h(full) <= 1.
 
     Any cone point with a negative value has h(full) > 0 and scales into the
@@ -367,12 +374,7 @@ def check_polymatroid(expr: Expr) -> Verdict:
     over polymatroids, and the minimizer itself is the witness.
     """
     uni = expr.universe
-    if uni.n > POLYMATROID_MAX_N:
-        raise CapExceeded(
-            f"polymatroid check capped at n <= {POLYMATROID_MAX_N}"
-        )
-    if not expr.terms:
-        return Verdict(True, ("polymatroid",), "cone-lp")
+    _polymatroid_cap(uni)
     lp, _ = _cone_program(uni, MINIMIZE)
     lp.set_objective({m - 1: c for m, c in expr.terms.items()})
     lp.add_row({uni.full_mask - 1: 1}, "<=", 1)
@@ -387,6 +389,17 @@ def check_polymatroid(expr: Expr) -> Verdict:
         False, ("polymatroid",), "cone-lp",
         witness=_verified_witness(expr, witness), lp_shape=shape,
     )
+
+
+def check_polymatroid(expr: Expr) -> Verdict:
+    """Polymatroid validity from the class chain (see `check_per_class`).
+
+    A basic modular or step witness refutes the inequality and a monotone
+    certificate proves it; only what those leave open reaches the cone LP.
+    The cap applies up front, whichever check settles the input.
+    """
+    _polymatroid_cap(expr.universe)
+    return _walk_chain(expr)["polymatroid"]
 
 
 @dataclass(frozen=True)
@@ -501,16 +514,14 @@ def _implied(cls: str, by: str, source: Verdict) -> Verdict:
     )
 
 
-def check_per_class(expr: Expr) -> Verdict:
-    """Every decidable class, walking the chain modular < step <
-    polymatroid < monotone.
+def _walk_chain(expr: Expr) -> dict[str, Verdict]:
+    """The verdict on every decidable class, walking the chain modular <
+    step < polymatroid < monotone.
 
     Invalid on a class is Invalid on every larger one with the same witness:
     a basic modular function is a step function, and a step function is a
     polymatroid. A monotone certificate is a Shannon proof for every smaller
     class. So the cone LP runs only on step-Valid, monotone-Invalid input.
-    Overall validity is the monotone verdict; an Invalid one carries the
-    witness of the first Invalid class, a Valid one the monotone certificate.
     """
     modular = check_modular(expr)
     if not modular.valid:
@@ -525,13 +536,23 @@ def check_per_class(expr: Expr) -> Verdict:
         else:
             step = check_step(expr)
             poly = (
-                check_polymatroid(expr) if step.valid
+                _cone_lp(expr) if step.valid
                 else _implied("polymatroid", "step", step)
             )
         per = {
             "modular": modular, "step": step, "polymatroid": poly,
             "monotone": monotone,
         }
+    return per
+
+
+def check_per_class(expr: Expr) -> Verdict:
+    """Every decidable class, from one walk down the class chain.
+
+    Overall validity is the monotone verdict; an Invalid one carries the
+    witness of the first Invalid class, a Valid one the monotone certificate.
+    """
+    per = _walk_chain(expr)
     top = per["monotone"]
     witness = next((v.witness for v in per.values() if not v.valid), None)
     return Verdict(

@@ -186,6 +186,48 @@ def test_check_auto_above_polymatroid_cap(capsys, tmp_path):
     assert err == "error: polymatroid check capped at n <= 10\n"
 
 
+def test_check_polymatroid_class_walks_the_chain(capsys, tmp_path, submod):
+    path = tmp_path / "step.ineq"
+    path.write_text("h(C) + 2*h(A,B,C) >= 2*h(A) + 2*h(B,C)\n")
+    code, out, _ = run(capsys, "check", str(path), "--class", "polymatroid",
+                       "--json", "--witness")
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["classes"] == ["polymatroid"]
+    assert doc["provenance"] == {"method": "implied-by-step"}
+    assert doc["witness"]["kind"] == "step"
+    assert doc["witness"]["step_set"] == "{A,B}"
+
+    code, out, _ = run(capsys, "check", submod, "--class", "polymatroid",
+                       "--json")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["provenance"] == {"method": "cone-lp", "lp_rows": 10,
+                                 "lp_cols": 7}
+
+    path = tmp_path / "mono.ineq"
+    path.write_text("2*h(A,B,C,D) + h(A) >= h(A,B) + h(C,D)\n")
+    code, out, _ = run(capsys, "check", str(path), "--class", "polymatroid",
+                       "--json", "--certificate")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["provenance"] == {"method": "implied-by-monotone"}
+    assert doc["certificate"] == [
+        "1 * Mono({A,B,C,D} >= {A,B})", "1 * Mono({A,B,C,D} >= {C,D})",
+        "1 * NonNeg({A})",
+    ]
+    code, out, _ = run(capsys, "check", str(path), "--class", "polymatroid",
+                       "--certificate")
+    assert code == 0
+    assert out == (
+        "Valid over polymatroid\n"
+        "certificate:\n"
+        "  1 * Mono({A,B,C,D} >= {A,B})\n"
+        "  1 * Mono({A,B,C,D} >= {C,D})\n"
+        "  1 * NonNeg({A})\n"
+    )
+
+
 def test_bound_triangle(capsys, tmp_path):
     path = tmp_path / "t.cst"
     path.write_text(TRIANGLE)

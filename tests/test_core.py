@@ -155,6 +155,17 @@ def test_evaluate_exact():
     assert evaluate(e, values) == Fraction(-1)
 
 
+def test_evaluate_mixed_value_types_stay_exact():
+    uni = universe("X", "Y")
+    e = make_expr(uni, {1: Fraction(1, 3), 2: Fraction(-2), 3: Fraction(5, 7)})
+    values = {1: 2, 2: Fraction(3, 4), 3: 0.1}
+    got = evaluate(e, values)
+    assert type(got) is Fraction
+    assert got == sum(c * Fraction(values[m]) for m, c in e.terms.items())
+    # 0.1 enters as its exact binary fraction, not as 1/10
+    assert got != Fraction(2, 3) - Fraction(3, 2) + Fraction(5, 70)
+
+
 def test_set_representation_scales_to_integers():
     uni = universe("X", "Y")
     e = make_expr(uni, {1: Fraction(1, 2), 2: Fraction(-1, 3)})

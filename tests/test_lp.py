@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import entroplex.bounds as bounds_mod
 import entroplex.lp as lp_mod
 import entroplex.validity as validity_mod
-from entroplex import check_polymatroid, universe
+from entroplex import universe
 from entroplex.core import DomainError
 from entroplex.lp import (
     INFEASIBLE,
@@ -214,9 +214,9 @@ def test_sparse_kernel_matches_dense_tableau(lp):
 
 
 def test_package_programs_match_dense_tableau(monkeypatch):
-    """Every LP that check_polymatroid (n=4) and the four bound methods
-    build: same status, value, point, pivot count and duals as the dense
-    tableau."""
+    """Every LP that the cone step of check_polymatroid (n=4) and the four
+    bound methods build: same status, value, point, pivot count and duals as
+    the dense tableau."""
     built = []
 
     def recording(real):
@@ -230,7 +230,7 @@ def test_package_programs_match_dense_tableau(monkeypatch):
     rng = random.Random(20261018)
     uni = universe("A", "B", "C", "D")
     for _ in range(12):
-        check_polymatroid(rand_expr(rng, uni))
+        validity_mod._cone_lp(rand_expr(rng, uni))
     methods = (
         bounds_mod.logbound_modular,
         bounds_mod.logbound_step,

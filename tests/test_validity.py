@@ -146,10 +146,21 @@ def test_polymatroid_checker():
     assert verdict.valid
     assert verdict.lp_shape is not None
 
-    # supermodular spike is monotone-invalid and polymatroid-invalid
+    # supermodular spike is monotone-invalid and polymatroid-invalid; a step
+    # function refutes it before the cone LP would run
     uni = universe("A", "B")
     expr = make_expr(uni, {3: 1, 1: -1, 2: -1})
     verdict = check_polymatroid(expr)
+    assert verdict.method == "implied-by-step"
+    assert verdict.semantics == ("polymatroid",)
+    assert verdict.lp_shape is None
+    assert_witness_sound(expr, verdict)
+    assert verdict.witness.kind == "step"
+    assert is_polymatroid(verdict.witness.function)
+    # the cone LP alone finds its own minimizer as the witness
+    verdict = validity._cone_lp(expr)
+    assert verdict.method == "cone-lp"
+    assert verdict.lp_shape is not None
     assert_witness_sound(expr, verdict)
     assert verdict.witness.kind == "polymatroid"
     assert is_polymatroid(verdict.witness.function)
@@ -327,10 +338,10 @@ def test_class_chain_implications():
             assert modular
 
 
-_STANDALONE = {
+_STANDALONE = {  # polymatroid: the cone LP alone, without the chain
     "modular": check_modular,
     "step": check_step,
-    "polymatroid": check_polymatroid,
+    "polymatroid": validity._cone_lp,
     "monotone": check_monotone_fixpoint,
 }
 _IN_CLASS = {
@@ -353,6 +364,7 @@ def assert_chain_matches_standalone(expr, verdict):
             assert _IN_CLASS[cls](sub.witness), cls
         elif sub.method.startswith("implied-by-"):
             assert sub.certificate.recombine().terms == expr.terms
+    assert check_polymatroid(expr) == per["polymatroid"]
     assert verdict.valid == per["monotone"].valid
     if verdict.valid:
         assert verdict.certificate.recombine().terms == expr.terms
@@ -387,10 +399,11 @@ def test_chain_matches_standalone_checkers(expr):
 def test_chain_runs_lp_only_when_needed(monkeypatch):
     """The cone LP runs exactly for the step-Valid, monotone-Invalid inputs."""
     lp_inputs = []
+    cone_lp = validity._cone_lp
 
     def counting(expr):
         lp_inputs.append(expr)
-        return check_polymatroid(expr)
+        return cone_lp(expr)
 
     rng = random.Random(5)
     uni = universe("A", "B", "C")
@@ -400,14 +413,34 @@ def test_chain_runs_lp_only_when_needed(monkeypatch):
         e for e in exprs if check_step(e).valid
         and not check_monotone_fixpoint(e).valid
     ]
-    monkeypatch.setattr(validity, "check_polymatroid", counting)
+    monkeypatch.setattr(validity, "_cone_lp", counting)
     verdicts = [check(expr) for expr in exprs]
+    direct_inputs, lp_inputs = lp_inputs, []
+    for expr in exprs:
+        check_polymatroid(expr)
+    direct_inputs, lp_inputs = lp_inputs, direct_inputs
     monkeypatch.undo()
     assert 0 < len(needed) < len(exprs)
     assert [e.terms for e in lp_inputs] == [e.terms for e in needed]
+    assert [e.terms for e in direct_inputs] == [e.terms for e in needed]
     for expr, verdict in zip(exprs, verdicts):
         assert verdict.method == "per-class"
         assert_chain_matches_standalone(expr, verdict)
+
+
+def test_polymatroid_chain_matches_cone_lp_at_n5():
+    """The benchmark's shape: 3n distinct sets with coefficients +-1, +-2."""
+    rng = random.Random(20261018)
+    uni = universe(*[f"V{i}" for i in range(5)])
+    methods = set()
+    for _ in range(240):
+        masks = rng.sample(range(1, 1 << uni.n), 3 * uni.n)
+        expr = make_expr(uni, {m: rng.choice((-2, -1, 1, 2)) for m in masks})
+        verdict = check_per_class(expr)
+        assert_chain_matches_standalone(expr, verdict)
+        methods.add(verdict.per_class["polymatroid"].method)
+    assert methods >= {"cone-lp", "implied-by-modular", "implied-by-step",
+                       "implied-by-monotone"}
 
 
 _BIG = "vars A,B,C,D,E,F,G,H,I,J,K;\n"
