@@ -396,10 +396,15 @@ def check_polymatroid(expr: Expr) -> Verdict:
 
     A basic modular or step witness refutes the inequality and a monotone
     certificate proves it; only what those leave open reaches the cone LP.
-    The cap applies up front, whichever check settles the input.
+    The cap applies up front, whichever check settles the input. The step
+    check scales the coefficients to integers and is capped on their total;
+    an inequality past that cap goes to the cone LP, which has no such cap.
     """
     _polymatroid_cap(expr.universe)
-    return _walk_chain(expr)["polymatroid"]
+    try:
+        return _walk_chain(expr)["polymatroid"]
+    except CapExceeded:
+        return _cone_lp(expr)
 
 
 @dataclass(frozen=True)

@@ -227,6 +227,15 @@ def test_check_polymatroid_class_walks_the_chain(capsys, tmp_path, submod):
         "  1 * NonNeg({A})\n"
     )
 
+    # too large for the step check's integer scaling: the cone LP answers
+    big = 10 ** 19
+    path.write_text(f"{big}*h(A) + {big}*h(B) >= {big}*h(A,B)\n")
+    code, out, err = run(capsys, "check", str(path), "--class", "polymatroid",
+                         "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["provenance"] == {"method": "cone-lp",
+                                             "lp_rows": 4, "lp_cols": 3}
+
 
 def test_bound_triangle(capsys, tmp_path):
     path = tmp_path / "t.cst"

@@ -173,6 +173,26 @@ def test_polymatroid_cap():
         check_polymatroid(expr)
 
 
+def test_polymatroid_past_step_scaling_cap():
+    """Coefficients too large for the step check's integer scaling: the cone
+    LP settles what the step check cannot."""
+    big = 10 ** 19
+    submod = make_expr(U3, {m: big * c for m, c in SUBMOD.terms.items()})
+    with pytest.raises(CapExceeded):
+        check_step(submod)
+    verdict = check_polymatroid(submod)
+    assert verdict.valid
+    assert verdict.method == "cone-lp"
+    assert verdict.lp_shape == validity._cone_lp(submod).lp_shape
+    assert check(submod, "polymatroid") == verdict
+
+    spike = make_expr(universe("A", "B"), {3: big, 1: -big, 2: -big})
+    verdict = check_polymatroid(spike)
+    assert verdict.method == "cone-lp"
+    assert_witness_sound(spike, verdict)
+    assert is_polymatroid(verdict.witness.function)
+
+
 def test_empty_expression_valid_everywhere():
     uni = universe("A", "B")
     empty = make_expr(uni, {})
