@@ -15,7 +15,6 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 Rat = Union[Fraction, int]
 
 DEFAULT_MAX_N = 24
-SETREP_CAP = 100000
 
 
 class DomainError(ValueError):
@@ -280,47 +279,19 @@ def evaluate(expr: Expr, values: Mapping[int, Rat]) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class SetRep:
-    """Integer multiset representation (S+, S-) after clearing denominators.
-
-    positives/negatives map subset mask -> multiplicity >= 1; scale is the
-    denominator LCM applied, so (pos - neg) multiplicities equal scale * c_S.
-    """
-
-    positives: Mapping[int, int]
-    negatives: Mapping[int, int]
-    scale: int
-
-    @property
-    def negative_total(self) -> int:
-        return sum(self.negatives.values())
-
-    @property
-    def positive_total(self) -> int:
-        return sum(self.positives.values())
+def _integer_row(values: Mapping[int, Rat]) -> tuple[dict[int, int], int]:
+    """The nonzero values as numerators over the lcm of their denominators."""
+    den = math.lcm(*(v.denominator for v in values.values()))
+    nums = {j: v.numerator * (den // v.denominator) for j, v in values.items() if v}
+    return nums, den
 
 
-def set_representation(expr: Expr, cap: int = SETREP_CAP) -> SetRep:
-    """Scale coefficients to integers and expand into multiplicities.
-
-    Raises CapExceeded when the total multiplicity passes cap.
-    """
-    scale = 1
-    for coeff in expr.terms.values():
-        scale = scale * coeff.denominator // math.gcd(scale, coeff.denominator)
-    positives: dict[int, int] = {}
-    negatives: dict[int, int] = {}
-    total = 0
-    for mask, coeff in expr.terms.items():
-        k = int(coeff * scale)
-        total += abs(k)
-        if total > cap:
-            raise CapExceeded(
-                f"set representation multiplicity {total} exceeds cap {cap}"
-            )
-        if k > 0:
-            positives[mask] = k
-        else:
-            negatives[mask] = -k
-    return SetRep(positives, negatives, scale)
+# Not exported: the step checker's only entry to its integer coefficients,
+# kept by this name because the benchmark's tracer times it.
+def set_representation(expr: Expr) -> tuple[dict[int, int], dict[int, int]]:
+    """The paper's (S+, S-) split: the coefficients scaled to integers by
+    the lcm of their denominators, as positive multiplicities per set."""
+    nums, _ = _integer_row(expr.terms)
+    positives = {m: k for m, k in nums.items() if k > 0}
+    negatives = {m: -k for m, k in nums.items() if k < 0}
+    return positives, negatives

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .core import DomainError, Rat, self_check
+from .core import DomainError, Rat, _integer_row, self_check
 
 MINIMIZE = "min"
 MAXIMIZE = "max"
@@ -65,13 +65,6 @@ class LPResult:
     point: Optional[tuple[Fraction, ...]] = None
     pivots: int = 0
     duals: Optional[tuple[Fraction, ...]] = None
-
-
-def _integer_row(values: Mapping[int, Rat]) -> tuple[dict[int, int], int]:
-    """The nonzero values as numerators over the lcm of their denominators."""
-    den = math.lcm(*(v.denominator for v in values.values()))
-    nums = {j: v.numerator * (den // v.denominator) for j, v in values.items() if v}
-    return nums, den
 
 
 def _lowest_terms(nums: dict[int, int], den: int) -> int:

@@ -21,6 +21,7 @@ from .core import (
     Universe,
     evaluate,
     make_expr,
+    max_universe_size,
     self_check,
     set_representation,
 )
@@ -156,6 +157,11 @@ def _add_to_planes(planes: list[int], k: int, where: int) -> None:
             return
 
 
+def _plane_bytes(n: int, w: int) -> int:
+    """About what check_step's n + w bit planes of 2^n bits take."""
+    return (n + w) * ((1 << n) // 8 + 32)
+
+
 def check_step(expr: Expr) -> Verdict:
     """Evaluate every step function at once; first failure in lexicographic
     order of the step sets as sorted index tuples: {0},{0,1},...,{n-1}.
@@ -165,10 +171,21 @@ def check_step(expr: Expr) -> Verdict:
     value is kept as the w-bit number 2^(w-1) - N + (positives it meets) +
     (negatives it misses) = 2^(w-1) + f(V), spread over w bit planes, so
     the top plane is clear exactly on the failing sets.
+
+    Those planes are the only limit: past what 64 planes of values take at
+    the universe cap, CapExceeded is raised before anything is allocated.
     """
     uni = expr.universe
     n = uni.n
-    rep = set_representation(expr, cap=1 << 62)  # integer coefficients only
+    positives, negatives = set_representation(expr)
+    negative_total = sum(negatives.values())
+    w = max(negative_total, sum(positives.values())).bit_length() + 1
+    need, budget = _plane_bytes(n, w), _plane_bytes(max_universe_size(), 64)
+    if need > budget:
+        raise CapExceeded(
+            f"step check needs about {need} bytes of bit planes, "
+            f"over its budget of {budget}"
+        )
     size = 1 << n
     every = (1 << size) - 1
     has = []  # has[i]: the sets that contain variable i
@@ -187,12 +204,11 @@ def check_step(expr: Expr) -> Verdict:
                 out |= has[i]
         return out
 
-    w = max(rep.negative_total, rep.positive_total).bit_length() + 1
-    start = (1 << (w - 1)) - rep.negative_total
+    start = (1 << (w - 1)) - negative_total
     planes = [every if start >> j & 1 else 0 for j in range(w)]
-    for mask, k in rep.positives.items():
+    for mask, k in positives.items():
         _add_to_planes(planes, k, hit(mask))
-    for mask, k in rep.negatives.items():
+    for mask, k in negatives.items():
         _add_to_planes(planes, k, every ^ hit(mask))
     negative = every & ~planes[-1]
     if not negative:
@@ -359,13 +375,6 @@ def _cone_program(
     return lp, elemental
 
 
-def _polymatroid_cap(uni: Universe) -> None:
-    if uni.n > POLYMATROID_MAX_N:
-        raise CapExceeded(
-            f"polymatroid check capped at n <= {POLYMATROID_MAX_N}"
-        )
-
-
 def _cone_lp(expr: Expr) -> Verdict:
     """Minimize the form over the polymatroid cone sliced at h(full) <= 1.
 
@@ -374,7 +383,10 @@ def _cone_lp(expr: Expr) -> Verdict:
     over polymatroids, and the minimizer itself is the witness.
     """
     uni = expr.universe
-    _polymatroid_cap(uni)
+    if uni.n > POLYMATROID_MAX_N:
+        raise CapExceeded(
+            f"polymatroid check capped at n <= {POLYMATROID_MAX_N}"
+        )
     lp, _ = _cone_program(uni, MINIMIZE)
     lp.set_objective({m - 1: c for m, c in expr.terms.items()})
     lp.add_row({uni.full_mask - 1: 1}, "<=", 1)
@@ -395,16 +407,10 @@ def check_polymatroid(expr: Expr) -> Verdict:
     """Polymatroid validity from the class chain (see `check_per_class`).
 
     A basic modular or step witness refutes the inequality and a monotone
-    certificate proves it; only what those leave open reaches the cone LP.
-    The cap applies up front, whichever check settles the input. The step
-    check scales the coefficients to integers and is capped on their total;
-    an inequality past that cap goes to the cone LP, which has no such cap.
+    certificate proves it; only what those leave open reaches the cone LP
+    and its variable cap.
     """
-    _polymatroid_cap(expr.universe)
-    try:
-        return _walk_chain(expr)["polymatroid"]
-    except CapExceeded:
-        return _cone_lp(expr)
+    return _walk_chain(expr)["polymatroid"]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from entroplex import (
     evaluate,
     is_monotone,
     make_expr,
-    set_representation,
     step_function,
     universe,
 )
@@ -86,13 +85,11 @@ def step_brute(expr: Expr) -> bool:
 
 def step_first_failing(expr: Expr) -> Optional[int]:
     """The step checker the bit-sliced kernel replaced: walk the nonempty
-    sets as sorted index tuples, {0},{0,1},...,{n-1}, summing each term
-    that meets the set; the first set with a negative total, or None."""
+    sets as sorted index tuples, {0},{0,1},...,{n-1}, summing the exact
+    coefficient of each term that meets the set; the first set with a
+    negative total, or None."""
     n = expr.universe.n
-    rep = set_representation(expr, cap=1 << 62)
-    terms = [(mask, k) for mask, k in rep.positives.items()] + [
-        (mask, -k) for mask, k in rep.negatives.items()
-    ]
+    terms = list(expr.terms.items())
 
     def lex_subset_masks(prefix: int, start: int):
         for i in range(start, n):

@@ -184,6 +184,45 @@ def test_check_auto_above_polymatroid_cap(capsys, tmp_path):
     code, out, err = run(capsys, "check", str(path))
     assert (code, out) == (2, "")
     assert err == "error: polymatroid check capped at n <= 10\n"
+    code, out, err = run(capsys, "check", str(path), "--class", "polymatroid")
+    assert (code, out) == (2, "")
+    assert err == "error: polymatroid check capped at n <= 10\n"
+
+
+def test_check_polymatroid_above_cap_settled_by_chain(capsys, tmp_path):
+    path = tmp_path / "big.ineq"
+    path.write_text("vars A,B,C,D,E,F,G,H,I,J,K;\nh(A,B) >= 2*h(A,C)\n")
+    code, out, err = run(capsys, "check", str(path), "--class", "polymatroid",
+                         "--json", "--witness")
+    doc = json.loads(out)
+    assert (code, err) == (1, "")
+    assert doc["provenance"] == {"method": "implied-by-modular"}
+    assert doc["witness"]["kind"] == "basic_modular"
+
+
+def test_check_auto_past_old_scaling_cap(capsys, tmp_path):
+    big = 10 ** 19
+    path = tmp_path / "huge.ineq"
+    path.write_text(
+        "vars A,B,C,D;\n"
+        f"{big}*h(A,B,C) + {big}*h(A,B,D) >= {big}*h(A,B,C,D) + {big}*h(A,B)\n"
+    )
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, err) == (1, "")
+    assert out == (
+        "Invalid over modular, step, polymatroid, monotone\n"
+        "  modular: Valid\n"
+        "  step: Valid\n"
+        "  polymatroid: Valid\n"
+        "  monotone: Invalid\n"
+    )
+    code, out, _ = run(capsys, "check", str(path), "--json", "--witness")
+    doc = json.loads(out)
+    assert code == 1
+    assert [v["valid"] for v in doc["per_class"].values()] == [
+        True, True, True, False,
+    ]
+    assert doc["witness"]["kind"] == "boolean_monotone"
 
 
 def test_check_polymatroid_class_walks_the_chain(capsys, tmp_path, submod):
@@ -227,7 +266,7 @@ def test_check_polymatroid_class_walks_the_chain(capsys, tmp_path, submod):
         "  1 * NonNeg({A})\n"
     )
 
-    # too large for the step check's integer scaling: the cone LP answers
+    # coefficients of 10^19: the step check answers, then the cone LP
     big = 10 ** 19
     path.write_text(f"{big}*h(A) + {big}*h(B) >= {big}*h(A,B)\n")
     code, out, err = run(capsys, "check", str(path), "--class", "polymatroid",

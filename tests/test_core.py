@@ -17,10 +17,9 @@ from entroplex import (
     make_expr,
     multi_mutual_info,
     mutual_info,
-    set_representation,
     universe,
 )
-from entroplex.core import max_universe_size
+from entroplex.core import max_universe_size, set_representation
 
 
 def test_universe_basics():
@@ -169,16 +168,16 @@ def test_evaluate_mixed_value_types_stay_exact():
 def test_set_representation_scales_to_integers():
     uni = universe("X", "Y")
     e = make_expr(uni, {1: Fraction(1, 2), 2: Fraction(-1, 3)})
-    rep = set_representation(e)
-    assert rep.scale == 6
-    assert rep.positives == {1: 3}
-    assert rep.negatives == {2: 2}
-    assert rep.positive_total == 3
-    assert rep.negative_total == 2
+    assert set_representation(e) == ({1: 3}, {2: 2})
+    # no cap on the multiplicities: the step check guards its own memory
+    e = make_expr(uni, {1: Fraction(10**30, 7), 3: Fraction(-1, 99991)})
+    assert set_representation(e) == ({1: 10**30 * 99991}, {3: 7})
 
 
-def test_set_representation_cap():
-    uni = universe("X")
-    e = make_expr(uni, {1: Fraction(10**9)})
-    with pytest.raises(CapExceeded):
-        set_representation(e, cap=1000)
+def test_public_names_resolve_and_are_sorted():
+    import entroplex
+
+    assert entroplex.__all__ == sorted(entroplex.__all__)
+    assert len(set(entroplex.__all__)) == len(entroplex.__all__)
+    for name in entroplex.__all__:
+        assert getattr(entroplex, name, None) is not None, name

@@ -5,6 +5,8 @@ import os
 import random
 import subprocess
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,7 +43,6 @@ from entroplex import (
     parse_inequality,
     partition_oracle,
     sat_oracle,
-    set_representation,
     step_function,
     universe,
 )
@@ -167,30 +168,38 @@ def test_polymatroid_checker():
 
 
 def test_polymatroid_cap():
+    """Eleven variables: submodularity is step-Valid and monotone-Invalid, so
+    only the capped cone LP could settle it."""
     uni = universe(*[f"V{i}" for i in range(11)])
-    expr = make_expr(uni, {1: 1})
+    expr = make_expr(uni, {1: 1, 2: 1, 3: -1})
     with pytest.raises(CapExceeded):
         check_polymatroid(expr)
 
 
 def test_polymatroid_past_step_scaling_cap():
-    """Coefficients too large for the step check's integer scaling: the cone
-    LP settles what the step check cannot."""
+    """Coefficients of 10^19, once past the step check's integer scaling cap:
+    the step check answers and the cone LP settles what it leaves open."""
     big = 10 ** 19
     submod = make_expr(U3, {m: big * c for m, c in SUBMOD.terms.items()})
-    with pytest.raises(CapExceeded):
-        check_step(submod)
+    assert check_step(submod).valid
     verdict = check_polymatroid(submod)
     assert verdict.valid
     assert verdict.method == "cone-lp"
     assert verdict.lp_shape == validity._cone_lp(submod).lp_shape
     assert check(submod, "polymatroid") == verdict
 
+    # the scaled supermodular spike: a step function refutes it, and the
+    # cone LP alone still finds its own minimizer
     spike = make_expr(universe("A", "B"), {3: big, 1: -big, 2: -big})
     verdict = check_polymatroid(spike)
-    assert verdict.method == "cone-lp"
-    assert_witness_sound(spike, verdict)
-    assert is_polymatroid(verdict.witness.function)
+    assert verdict.method == "implied-by-step"
+    assert verdict.witness.kind == "step"
+    lp_verdict = validity._cone_lp(spike)
+    assert lp_verdict.method == "cone-lp"
+    assert lp_verdict.witness.kind == "polymatroid"
+    for v in (verdict, lp_verdict):
+        assert_witness_sound(spike, v)
+        assert is_polymatroid(v.witness.function)
 
 
 def test_empty_expression_valid_everywhere():
@@ -267,8 +276,6 @@ def test_monotone_witness_beyond_old_scaling_cap():
     """Coefficients whose common denominator once capped witness recovery."""
     for names in ("ABCDE", "ABCDEF"):
         expr = _big_coprime(names)
-        with pytest.raises(CapExceeded):
-            set_representation(expr)  # integer scaling would exceed its cap
         for verdict in (check_monotone_fixpoint(expr), check(expr, "monotone")):
             assert_witness_sound(expr, verdict)
             assert verdict.witness.generators == (1,)  # the up-set of {A}
@@ -309,6 +316,64 @@ def step_exprs(draw):
 @example(make_expr(universe(*"ABCDEFGHIJ"), {}))
 def test_step_kernel_matches_enumeration(expr):
     assert_step_matches_oracle(expr)
+
+
+# h(A,B,C) + h(A,B,D) >= h(A,B,C,D) + h(A,B), scaled by 10^19: its integer
+# multiplicities total more than 2^62, once the step check's fixed cap.
+_HUGE = "vars A,B,C,D;\n" + " ".join([
+    "10000000000000000000*h(A,B,C) + 10000000000000000000*h(A,B,D) >=",
+    "10000000000000000000*h(A,B,C,D) + 10000000000000000000*h(A,B)",
+])
+
+
+@st.composite
+def huge_step_exprs(draw):
+    n = draw(st.integers(1, 5))
+    uni = universe(*[f"V{i}" for i in range(n)])
+    coeffs = st.builds(
+        Fraction, st.integers(-10**30, 10**30), st.sampled_from(_DENOMINATORS)
+    )
+    terms = draw(st.dictionaries(st.integers(1, uni.full_mask), coeffs, max_size=12))
+    return make_expr(uni, terms)
+
+
+@given(huge_step_exprs())
+@settings(max_examples=200, deadline=None)
+@example(parse_inequality(_HUGE))
+@example(_big_coprime("ABCDE"))
+@example(make_expr(universe("A", "B"), {1: 10**30, 3: Fraction(-10**30 - 1, 99991)}))
+def test_step_kernel_matches_enumeration_past_2_62(expr):
+    """Numerators up to 10^30 over coprime denominators: the integer totals
+    pass 2^62 and only the bit planes grow."""
+    assert_step_matches_oracle(expr)
+
+
+def test_step_guard_refuses_before_allocating(monkeypatch):
+    """n = 24 and a 2^200 coefficient need about 474 MB of bit planes."""
+    monkeypatch.delenv("ENTROPLEX_MAX_N", raising=False)
+    uni = universe(*[f"V{i}" for i in range(24)])
+    expr = make_expr(uni, {uni.full_mask: 2**200, 1: -1})
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(CapExceeded, match="bit planes"):
+            check_step(expr)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1
+    assert peak < 1 << 20
+
+
+def test_step_guard_admits_what_64_planes_allowed(monkeypatch):
+    """The budget is 64 planes at the universe cap, whatever that cap is:
+    at the cap itself a 63-bit total passes and a 64-bit one does not."""
+    monkeypatch.setenv("ENTROPLEX_MAX_N", "4")
+    uni = universe("A", "B", "C", "D")
+    assert check_step(make_expr(uni, {15: 2**63 - 1, 1: -1})).valid
+    with pytest.raises(CapExceeded):
+        check_step(make_expr(uni, {15: 2**63, 1: -1}))
 
 
 def _triples(names):
@@ -497,8 +562,25 @@ def test_chain_settles_most_inputs_above_polymatroid_cap():
             assert verdict.certificate.recombine().terms == expr.terms
         else:
             assert_witness_sound(expr, verdict)
+        assert check_polymatroid(expr) == per["polymatroid"]
     with pytest.raises(CapExceeded):
         check(parse_inequality(_BIG + "h(A,C) + h(B,C) >= h(A,B,C) + h(C)"))
+
+
+def test_per_class_table_past_old_scaling_cap():
+    """Coefficients of 10^19 at n = 4: the step entry is answered, so the
+    table is complete and the monotone witness refutes."""
+    expr = parse_inequality(_HUGE)
+    assert not is_simple_form(expr)
+    verdict = check(expr)
+    per = verdict.per_class
+    assert [v.valid for v in per.values()] == [True, True, True, False]
+    assert [v.method for v in per.values()] == [
+        "modular", "step-enumeration", "cone-lp", "fixpoint",
+    ]
+    assert verdict.witness.kind == "boolean_monotone"
+    assert_witness_sound(expr, verdict)
+    assert_chain_matches_standalone(expr, verdict)
 
 
 def test_a_reduction_structure():
