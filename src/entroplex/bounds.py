@@ -295,7 +295,8 @@ def logbound_polymatroid_dual(query: Query, sigma: GuardedSigma) -> BoundResult:
         raise CapExceeded(
             f"polymatroid bound capped at n <= {POLYMATROID_MAX_N}"
         )
-    lp, elemental = _cone_program(uni, MAXIMIZE)
+    lp = _cone_program(uni, MAXIMIZE)
+    k = len(lp.rows)
     lp.set_objective({uni.full_mask - 1: 1})
     for entry in sigma.entries:
         cond = entry.sigma
@@ -310,17 +311,16 @@ def logbound_polymatroid_dual(query: Query, sigma: GuardedSigma) -> BoundResult:
         return BoundResult(math.inf, "polymatroid-dual", lp_shape=shape)
 
     # Elemental duals y <= 0 give the Shannon proof with multipliers -y.
-    k = len(elemental)
     weights = result.duals[k:]
     self_check(
         all(w >= 0 for w in weights) and all(y <= 0 for y in result.duals[:k]),
         "the weights and elemental multipliers are nonnegative",
     )
     remainder = dict(sigma_inequality(sigma, weights).terms)
-    for y, row in zip(result.duals, elemental):
+    for y, (row, _, _) in zip(result.duals[:k], lp.rows):
         if y:
-            for m, c in row.items():
-                remainder[m] = remainder.get(m, 0) + y * c
+            for j, c in row.items():  # column j holds the set j + 1
+                remainder[j + 1] = remainder.get(j + 1, 0) + y * c
     self_check(
         all(c >= 0 for c in remainder.values()),
         "the elemental multipliers prove the weights over polymatroids",

@@ -280,7 +280,10 @@ def evaluate(expr: Expr, values: Mapping[int, Rat]) -> Fraction:
 
 
 def _integer_row(values: Mapping[int, Rat]) -> tuple[dict[int, int], int]:
-    """The nonzero values as numerators over the lcm of their denominators."""
+    """The nonzero values as numerators over the lcm of their denominators;
+    an all-int row is its own numerators over 1."""
+    if all(type(v) is int for v in values.values()):
+        return {j: v for j, v in values.items() if v}, 1
     den = math.lcm(*(v.denominator for v in values.values()))
     nums = {j: v.numerator * (den // v.denominator) for j, v in values.items() if v}
     return nums, den

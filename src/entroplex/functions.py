@@ -115,10 +115,10 @@ def is_monotone(fn: SetFunction) -> bool:
     return True
 
 
-def _elemental_rows(uni: Universe) -> list[dict[int, int]]:
-    """Minimal generating inequalities of the polymatroid cone, h({}) = 0."""
-    n = uni.n
-    full = uni.full_mask
+def _elemental_rows(n: int) -> list[dict[int, int]]:
+    """Minimal generating inequalities of the polymatroid cone over n
+    variables, as mask -> coefficient rows; h({}) = 0."""
+    full = (1 << n) - 1
     rows: list[dict[int, int]] = []
     for i in range(n):
         row = {full: 1}
@@ -145,7 +145,7 @@ def is_polymatroid(fn: SetFunction) -> bool:
     """Monotone plus submodular: every elemental inequality holds."""
     return all(
         sum(c * fn.values[m] for m, c in row.items()) >= 0
-        for row in _elemental_rows(fn.universe)
+        for row in _elemental_rows(fn.universe.n)
     )
 
 

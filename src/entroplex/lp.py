@@ -4,11 +4,14 @@ Two-phase simplex with Bland's rule, which is always on: the programs built
 elsewhere in this package are highly degenerate and cycling must be
 impossible rather than unlikely. Tableau rows are sparse and fraction-free
 (Bareiss style): integer numerators of the nonzero columns over one positive
-denominator per row, in lowest terms. Results cross the API boundary as
-Fraction. An optimum comes with its point and the dual value of every row,
-read off the final reduced costs (no second solve): for a minimization,
-duals are >= 0 on `>=` rows and <= 0 on `<=` rows, c - A^T y >= 0, and
-sum(rhs * y) is the optimal value; maximizing flips each sign.
+denominator per row, in lowest terms. A program keeps int coefficients as
+int and makes every other number an exact Fraction, so an all-integer row
+reaches the tableau without a Fraction round trip. Results cross the API
+boundary as Fraction. An optimum comes with its point and the dual value of
+every row, read off the final reduced costs (no second solve): for a
+minimization, duals are >= 0 on `>=` rows and <= 0 on `<=` rows,
+c - A^T y >= 0, and sum(rhs * y) is the optimal value; maximizing flips
+each sign.
 """
 
 from __future__ import annotations
@@ -28,27 +31,32 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
+def _exact(value: Rat) -> Rat:
+    """An int as it is, any other number as the exact Fraction it equals."""
+    return value if type(value) is int else Fraction(value)
+
+
 @dataclass
 class LinearProgram:
     """minimize/maximize c.x subject to rows; every variable is >= 0."""
 
     n_vars: int
     sense: str = MINIMIZE
-    objective: dict[int, Fraction] = field(default_factory=dict)
-    rows: list[tuple[dict[int, Fraction], str, Fraction]] = field(default_factory=list)
+    objective: dict[int, Rat] = field(default_factory=dict)
+    rows: list[tuple[Mapping[int, Rat], str, Rat]] = field(default_factory=list)
 
     def set_objective(self, coeffs: Mapping[int, Rat]) -> None:
-        self.objective = {j: Fraction(c) for j, c in coeffs.items() if c != 0}
+        self.objective = {j: _exact(c) for j, c in coeffs.items() if c != 0}
         self._check_cols(self.objective)
 
     def add_row(self, coeffs: Mapping[int, Rat], rel: str, rhs: Rat) -> None:
         if rel not in (">=", "<=", "="):
             raise DomainError(f"unknown relation {rel!r}")
-        row = {j: Fraction(c) for j, c in coeffs.items() if c != 0}
+        row = {j: _exact(c) for j, c in coeffs.items() if c != 0}
         self._check_cols(row)
-        self.rows.append((row, rel, Fraction(rhs)))
+        self.rows.append((row, rel, _exact(rhs)))
 
-    def _check_cols(self, coeffs: Mapping[int, Fraction]) -> None:
+    def _check_cols(self, coeffs: Mapping[int, Rat]) -> None:
         for j in coeffs:
             if not 0 <= j < self.n_vars:
                 raise DomainError(f"variable index {j} out of range")

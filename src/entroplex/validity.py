@@ -9,6 +9,7 @@ whose Valid branch may carry an exact decomposition into axioms.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -363,16 +364,23 @@ def check_monotone_fixpoint(expr: Expr) -> Verdict:
 check_monotone_lp = check_monotone_fixpoint
 
 
-def _cone_program(
-    uni: Universe, sense: str
-) -> tuple[LinearProgram, list[dict[int, int]]]:
+@functools.cache
+def _cone_rows(n: int) -> tuple[tuple[dict[int, int], str, int], ...]:
+    """The elemental rows as program rows, mask m at column m - 1, built
+    once per universe size and shared by every program: never mutated.
+    Only the capped polymatroid check and bound reach it, so it holds at
+    most the rows of n <= POLYMATROID_MAX_N."""
+    return tuple(
+        ({m - 1: c for m, c in row.items()}, ">=", 0) for row in _elemental_rows(n)
+    )
+
+
+def _cone_program(uni: Universe, sense: str) -> LinearProgram:
     """The elemental cone as a program, one column per nonempty set (mask
-    m at column m - 1), and its elemental rows, in the program's order."""
-    elemental = _elemental_rows(uni)
+    m at column m - 1); its first rows are the elemental rows."""
     lp = LinearProgram(uni.full_mask, sense)
-    for row in elemental:
-        lp.add_row({m - 1: c for m, c in row.items()}, ">=", 0)
-    return lp, elemental
+    lp.rows = list(_cone_rows(uni.n))
+    return lp
 
 
 def _cone_lp(expr: Expr) -> Verdict:
@@ -387,7 +395,7 @@ def _cone_lp(expr: Expr) -> Verdict:
         raise CapExceeded(
             f"polymatroid check capped at n <= {POLYMATROID_MAX_N}"
         )
-    lp, _ = _cone_program(uni, MINIMIZE)
+    lp = _cone_program(uni, MINIMIZE)
     lp.set_objective({m - 1: c for m, c in expr.terms.items()})
     lp.add_row({uni.full_mask - 1: 1}, "<=", 1)
     shape = lp.shape

@@ -438,6 +438,45 @@ def rand_sigma(
     return query, GuardedSigma(uni, tuple(entries))
 
 
+def cone_memo_answers(position: int) -> str:
+    """The polymatroid check and bound answers, as one repr, on the seeded
+    inputs at one position of the universe sizes (4, 5, 4): Ingleton's
+    inequality, which holds for step functions but not for polymatroids
+    (a cone-LP witness), a step-valid and monotone-invalid random form (a
+    cone-LP proof) and a random degree system (a cone-LP bound)."""
+    from entroplex import (
+        check_monotone_fixpoint,
+        check_polymatroid,
+        check_step,
+        combine,
+        cond_mutual_info,
+        expand_measure,
+        logbound_polymatroid_dual,
+        mutual_info,
+    )
+
+    n = (4, 5, 4)[position]
+    rng = random.Random(20261018 + position)
+    uni = universe(*[f"V{i}" for i in range(n)])
+    a, b, c, d = 1, 2, 4, 8
+    ingleton = combine(uni, [
+        (1, expand_measure(uni, cond_mutual_info(a, b, c))),
+        (1, expand_measure(uni, cond_mutual_info(a, b, d))),
+        (1, expand_measure(uni, mutual_info(c, d))),
+        (-1, expand_measure(uni, mutual_info(a, b))),
+    ])
+    while True:
+        shannon = rand_expr(rng, uni)
+        if check_step(shannon).valid and not check_monotone_fixpoint(shannon).valid:
+            break
+    query, sigma = rand_sigma(rng, n_min=n, n_max=n, entries_range=(4, 6))
+    return repr((
+        check_polymatroid(ingleton),
+        check_polymatroid(shannon),
+        logbound_polymatroid_dual(query, sigma),
+    ))
+
+
 def polymatroid_bound_dual_program(sigma) -> LinearProgram:
     """The explicit dual the polymatroid bound used to solve second:
     minimize the budget sum(b_i * w_i) over weights w >= 0 and elemental
@@ -446,7 +485,7 @@ def polymatroid_bound_dual_program(sigma) -> LinearProgram:
     infinite; otherwise its optimum is the bound."""
     uni = sigma.universe
     k = len(sigma.entries)
-    elemental = _elemental_rows(uni)
+    elemental = _elemental_rows(uni.n)
     dual = LinearProgram(k + len(elemental))
     dual.set_objective(
         {i: entry.log_degree for i, entry in enumerate(sigma.entries)}

@@ -1,8 +1,12 @@
 """Exact simplex: hand cases, agreement with a vertex-enumeration oracle, and
 pivot-for-pivot agreement with the dense Fraction tableau it replaced."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +27,9 @@ from entroplex.lp import (
     feasible,
     solve,
 )
+from entroplex.functions import _elemental_rows
 from helpers import (
+    cone_memo_answers,
     dense_feasible,
     dense_solve,
     rand_expr,
@@ -170,18 +176,18 @@ _RATS = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 
 
 @st.composite
-def programs(draw):
+def programs(draw, entries=_RATS):
     n = draw(st.integers(1, 4))
     cols = st.integers(0, n - 1)
     rows = draw(st.lists(
         st.tuples(
-            st.dictionaries(cols, _RATS, max_size=n),
+            st.dictionaries(cols, entries, max_size=n),
             st.sampled_from([">=", "<=", "="]),
-            _RATS,
+            entries,
         ),
         min_size=1, max_size=6,
     ))
-    objective = draw(st.dictionaries(cols, _RATS, max_size=n))
+    objective = draw(st.dictionaries(cols, entries, max_size=n))
     return _lp(n, draw(st.sampled_from([MINIMIZE, MAXIMIZE])), objective, rows)
 
 
@@ -211,6 +217,71 @@ def test_sparse_kernel_matches_dense_tableau(lp):
         )
         assert sign * reduced >= 0
     assert sum(rhs * y for (_, _, rhs), y in zip(lp.rows, res.duals)) == res.value
+
+
+def _as_fractions(coeffs):
+    return {j: Fraction(c) for j, c in coeffs.items()}
+
+
+@given(programs(st.integers(-5, 5)))
+@settings(max_examples=300, deadline=None)
+def test_integer_rows_match_fraction_rows(ints):
+    """Integer entries stay int from add_row to the tableau; the answer is
+    the one of the same program written in Fractions, and the dense
+    tableau's."""
+    fracs = _lp(
+        ints.n_vars, ints.sense, _as_fractions(ints.objective),
+        [(_as_fractions(c), rel, Fraction(rhs)) for c, rel, rhs in ints.rows],
+    )
+    for lp, kind in ((ints, int), (fracs, Fraction)):
+        entries = list(lp.objective.values())
+        for coeffs, _, rhs in lp.rows:
+            entries += [*coeffs.values(), rhs]
+        assert all(type(v) is kind for v in entries)
+    res = solve(ints)
+    assert res == solve(fracs) == dense_solve(fracs)
+    assert feasible(ints) == feasible(fracs) == dense_feasible(fracs)
+
+
+# Each position's answers, computed with no cone rows held yet.
+_FRESH_ANSWERS = """
+import sys
+from helpers import cone_memo_answers
+print(cone_memo_answers(int(sys.argv[1])))
+"""
+
+
+def test_cone_rows_memo_leaks_no_state():
+    """The elemental rows are held once per universe size: a program built
+    over them and then extended leaves the next one exactly the elemental
+    rows, and answers match those of a fresh interpreter."""
+    uni = universe("A", "B", "C", "D")
+    elemental = [
+        ({m - 1: c for m, c in row.items()}, ">=", 0) for row in _elemental_rows(4)
+    ]
+    lp = validity_mod._cone_program(uni, MINIMIZE)
+    lp.set_objective({0: 1, 14: -1})
+    lp.add_row({14: 1}, "<=", 1)
+    lp.add_row({0: 1, 1: 1}, ">=", Fraction(1, 2))
+    assert solve(lp).status == OPTIMAL
+    assert len(lp.rows) == len(elemental) + 2
+    again = validity_mod._cone_program(uni, MINIMIZE)
+    assert again.rows == elemental and again.objective == {}
+
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    for position in range(3):  # n = 4, 5, 4, interleaved in this process
+        here = cone_memo_answers(position)
+        fresh = subprocess.run(
+            [sys.executable, "-c", _FRESH_ANSWERS, str(position)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert fresh.returncode == 0, fresh.stderr
+        assert fresh.stdout == here + "\n"
 
 
 def test_package_programs_match_dense_tableau(monkeypatch):
