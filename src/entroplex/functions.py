@@ -14,14 +14,12 @@ from typing import Iterator
 
 from .core import DomainError, Expr, Rat, Universe, parse_fraction
 
-MONOTONE_ENUM_MAX_N = 5
-
 
 @dataclass(frozen=True)
 class SetFunction:
     """2^n exact values with value({}) = 0, indexed by mask.
 
-    The values are a tuple, or a StepValues that computes them on demand;
+    The values are a tuple, or an UpSetValues that computes them on demand;
     equality and hash do not depend on which.
     """
 
@@ -49,12 +47,19 @@ _ONE, _ZERO = Fraction(1), Fraction(0)
 
 
 @dataclass(frozen=True, eq=False)
-class StepValues(Sequence):
-    """The 2^n values of the step function s^V, computed on demand: 1 on the
-    masks that meet v, 0 elsewhere."""
+class UpSetValues(Sequence):
+    """The 2^n values of a monotone 0/1 function, computed on demand: 1 on
+    the masks that contain one of its generators, 0 elsewhere.
+
+    The singleton generators are held as one mask, `singles`, so a step
+    function s^V (singles = V) and a basic modular one cost a single `&` per
+    value. The other generators, `larger`, must be minimal and sorted, so
+    that equal functions have equal fields.
+    """
 
     n: int
-    v: int
+    singles: int
+    larger: tuple[int, ...] = ()
 
     def __len__(self) -> int:
         return 1 << self.n
@@ -62,16 +67,25 @@ class StepValues(Sequence):
     def __getitem__(self, index):
         masks = range(1 << self.n)[index]  # an int, or a range for a slice
         if isinstance(masks, range):
-            return tuple(_ONE if m & self.v else _ZERO for m in masks)
-        return _ONE if masks & self.v else _ZERO
+            return tuple(map(self._at, masks))
+        return self._at(masks)
 
     def __iter__(self) -> Iterator[Fraction]:
-        v = self.v
-        return (_ONE if m & v else _ZERO for m in range(1 << self.n))
+        return map(self._at, range(1 << self.n))
+
+    def _at(self, mask: int) -> Fraction:
+        if mask & self.singles:
+            return _ONE
+        for g in self.larger:
+            if g & mask == g:
+                return _ONE
+        return _ZERO
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, StepValues):
-            return (self.n, self.v) == (other.n, other.v)
+        if isinstance(other, UpSetValues):
+            return (self.n, self.singles, self.larger) == (
+                other.n, other.singles, other.larger
+            )
         if isinstance(other, Sequence):
             return len(other) == len(self) and all(
                 a == b for a, b in zip(self, other)
@@ -96,7 +110,7 @@ def step_function(uni: Universe, v: int) -> SetFunction:
         raise DomainError("a step function needs a nonempty witness set")
     if v > uni.full_mask:
         raise DomainError("step set outside universe")
-    return SetFunction(uni, StepValues(uni.n, v))
+    return SetFunction(uni, UpSetValues(uni.n, v))
 
 
 def basic_modular(uni: Universe, name: str) -> SetFunction:
@@ -160,47 +174,6 @@ def is_modular(fn: SetFunction) -> bool:
         if fn.values[m] != total:
             return False
     return True
-
-
-def enumerate_monotone_boolean(uni: Universe) -> Iterator[SetFunction]:
-    """Every monotone 0/1 function with value({}) = 0, each exactly once.
-
-    Equivalently the upward-closed families of nonempty subsets. Yielded in
-    increasing order of the family bitmask (bit m set iff value(mask m) = 1).
-    Counts follow the Dedekind numbers minus one: 2, 5, 19, 167, 7580 for
-    n = 1..5.
-    """
-    n = uni.n
-    if n > MONOTONE_ENUM_MAX_N:
-        raise DomainError(
-            f"monotone enumeration capped at n <= {MONOTONE_ENUM_MAX_N}"
-        )
-    size = 1 << n
-    masks = list(range(1, size))
-    # Deciding membership for larger sets first makes the monotonicity check
-    # local: mask may be 1 only if all its immediate supersets are 1.
-    order = sorted(masks, key=lambda m: (-bin(m).count("1"), m))
-    supersets = {
-        m: [m | 1 << i for i in range(n) if not m >> i & 1] for m in masks
-    }
-    families: list[int] = []
-
-    def assign(pos: int, family: int) -> None:
-        if pos == len(order):
-            families.append(family)
-            return
-        m = order[pos]
-        assign(pos + 1, family)  # value(m) = 0
-        if all(family >> s & 1 for s in supersets[m]):
-            assign(pos + 1, family | 1 << m)
-
-    assign(0, 0)
-    one, zero = Fraction(1), Fraction(0)
-    for family in sorted(families):
-        yield SetFunction(
-            uni,
-            tuple(one if m and family >> m & 1 else zero for m in range(size)),
-        )
 
 
 @dataclass(frozen=True)

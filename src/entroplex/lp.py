@@ -110,68 +110,61 @@ class _Tableau:
     """Equality-form simplex tableau; row i is rows[i] / dens[i]."""
 
     def __init__(self, lp: LinearProgram):
-        m = len(lp.rows)
         self.n_orig = lp.n_vars
         self.pivots = 0
+        sign = 1 if lp.sense == MINIMIZE else -1
 
         # Column layout: structural vars, then one slack/surplus per inequality
-        # row, then artificials as needed; the rhs sits at column ncols.
-        ncols = lp.n_vars
-        sign = 1 if lp.sense == MINIMIZE else -1
-        slack_col: list[Optional[int]] = [None] * m
-        slack_sign: list[int] = [0] * m
-        dual_sign: list[int] = [-sign] * m  # see dual_cols below
-        norm_rows: list[tuple[Mapping[int, Rat], str, Rat]] = []
-        for i, (coeffs, rel, rhs) in enumerate(lp.rows):
-            if rhs < 0:
-                coeffs = {j: -c for j, c in coeffs.items()}
-                rhs = -rhs
-                rel = {">=": "<=", "<=": ">=", "=": "="}[rel]
-                dual_sign[i] = sign
-            norm_rows.append((coeffs, rel, rhs))
-            if rel != "=":
-                slack_col[i] = ncols
-                slack_sign[i] = 1 if rel == "<=" else -1
-                dual_sign[i] *= slack_sign[i]
-                ncols += 1
-
-        art_col: list[Optional[int]] = [None] * m
-        basis: list[int] = [0] * m
-        for i, (_, rel, rhs) in enumerate(norm_rows):
-            if rel == "<=":
-                basis[i] = slack_col[i]  # slack basic at rhs >= 0
-            elif rel == ">=" and rhs == 0:
-                basis[i] = slack_col[i]  # surplus basic at 0, row negated below
-            else:
-                art_col[i] = ncols
-                basis[i] = ncols
-                ncols += 1
-
+        # row, then artificials for the rows whose slack cannot start basic
+        # (equalities, and >= rows at a positive rhs once a negative rhs is
+        # flipped); the rhs sits at column ncols.
+        slack = lp.n_vars
+        art = slack + sum(rel != "=" for _, rel, _ in lp.rows)
+        ncols = art + sum(
+            rel == "=" or (rhs > 0 if rel == ">=" else rhs < 0)
+            for _, rel, rhs in lp.rows
+        )
+        self.artificials = frozenset(range(art, ncols))
         self.rows: list[dict[int, int]] = []
         self.dens: list[int] = []
-        for i, (coeffs, rel, rhs) in enumerate(norm_rows):
-            nums, den = _integer_row({**coeffs, ncols: rhs})
-            if slack_col[i] is not None:
-                nums[slack_col[i]] = slack_sign[i] * den
-            if art_col[i] is not None:
-                nums[art_col[i]] = den
-            if basis[i] == slack_col[i] and slack_sign[i] == -1:
-                nums = {j: -v for j, v in nums.items()}  # basic surplus at +1
+        self.basis: list[int] = []
+        # Row i's multiplier is -red / a at its slack column (a = the slack
+        # sign) or else its artificial (a = 1), with the sign flipped back
+        # for a negated rhs and for maximizing: f * red.
+        self.dual_cols: list[tuple[int, int]] = []
+        for coeffs, rel, rhs in lp.rows:
+            nums, den = _integer_row({**coeffs, ncols: rhs} if rhs else coeffs)
+            f = -sign
+            if rhs < 0 or (rel == ">=" and rhs == 0):
+                # A negative rhs flips the row; a >= row at rhs 0 is negated
+                # so that its surplus is basic at +1.
+                for j in nums:
+                    nums[j] = -nums[j]
+                if rhs < 0:
+                    rel = {">=": "<=", "<=": ">=", "=": "="}[rel]
+                    f = sign
+            if rel == "=":
+                nums[art] = den
+                self.basis.append(art)
+                self.dual_cols.append((art, f))
+                art += 1
+            else:
+                if rel == "<=" or rhs == 0:
+                    nums[slack] = den  # slack or negated surplus, basic
+                    self.basis.append(slack)
+                else:
+                    nums[slack] = -den
+                    nums[art] = den
+                    self.basis.append(art)
+                    art += 1
+                self.dual_cols.append((slack, f if rel == "<=" else -f))
+                slack += 1
             self.rows.append(nums)
             self.dens.append(_lowest_terms(nums, den))
 
         self.ncols = ncols
-        self.basis = basis
-        self.artificials = frozenset(c for c in art_col if c is not None)
         self.allowed = [True] * ncols
         self.cost = {j: sign * c for j, c in lp.objective.items()}
-        # Row i's multiplier is -red / a at its slack column (a = the slack
-        # sign) or else its artificial (a = 1), with the sign flipped back
-        # for a negated rhs and for maximizing: dual_sign[i] * red.
-        self.dual_cols = [
-            (art if slack is None else slack, f)
-            for slack, art, f in zip(slack_col, art_col, dual_sign)
-        ]
 
     def _set_reduced_costs(self, cost: Mapping[int, Rat]) -> None:
         """red_j = c_j - c_B B^-1 A_j, with -c_B x_B in the rhs slot."""
@@ -273,10 +266,9 @@ def solve(lp: LinearProgram) -> LPResult:
 
 
 def feasible(lp: LinearProgram) -> tuple[bool, Optional[tuple[Fraction, ...]]]:
-    """Phase-one only; a feasible point when one exists."""
-    probe = LinearProgram(lp.n_vars, MINIMIZE)
-    probe.rows = lp.rows
-    tab = _Tableau(probe)
-    if tab.solve_two_phase() == INFEASIBLE:
+    """Solve over the same rows with no objective; a feasible point when one
+    exists."""
+    result = solve(LinearProgram(lp.n_vars, MINIMIZE, rows=lp.rows))
+    if result.status == INFEASIBLE:
         return False, None
-    return True, tuple(tab.extract_point())
+    return True, result.point

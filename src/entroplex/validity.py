@@ -26,7 +26,13 @@ from .core import (
     self_check,
     set_representation,
 )
-from .functions import SetFunction, _elemental_rows, basic_modular, step_function
+from .functions import (
+    SetFunction,
+    UpSetValues,
+    _elemental_rows,
+    basic_modular,
+    step_function,
+)
 from .lp import LinearProgram, MINIMIZE, OPTIMAL, solve
 
 POLYMATROID_MAX_N = 10
@@ -232,15 +238,6 @@ def check_step(expr: Expr) -> Verdict:
     )
 
 
-def _upset_indicator(uni: Universe, gens: list[int]) -> SetFunction:
-    one, zero = Fraction(1), Fraction(0)
-    values = [zero] * (1 << uni.n)
-    for m in range(1, 1 << uni.n):
-        if any(g & ~m == 0 for g in gens):
-            values[m] = one
-    return SetFunction(uni, tuple(values))
-
-
 def _minimal_sets(masks: list[int]) -> tuple[int, ...]:
     mins = []
     for m in sorted(masks, key=lambda x: (bin(x).count("1"), x)):
@@ -349,9 +346,11 @@ def check_monotone_fixpoint(expr: Expr) -> Verdict:
                         reached_r.add(y2)
                         queue.append(y2)
     gens = _minimal_sets(sorted(reached_r))
+    singles = sum(g for g in gens if g & (g - 1) == 0)
+    larger = tuple(g for g in gens if g & (g - 1))
     witness = Witness(
         "boolean_monotone",
-        _upset_indicator(uni, list(gens)),
+        SetFunction(uni, UpSetValues(uni.n, singles, larger)),
         generators=gens,
     )
     return Verdict(
@@ -501,9 +500,10 @@ def check_simple_sigma(expr: Expr) -> Verdict:
         sub = check_monotone_fixpoint(red.reduced)
         if sub.valid:
             continue
+        # A singleton is 1 under the up-set exactly when it is a generator.
         ones = [
-            j for j in range(red.reduced.universe.n)
-            if sub.witness.function[1 << j] == 1
+            g.bit_length() - 1 for g in sub.witness.generators
+            if g & (g - 1) == 0
         ]
         self_check(bool(ones), "a failing reduction lights up a singleton")
         v = bit

@@ -9,13 +9,14 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from entroplex import (
+    DomainError,
     Expr,
+    SetFunction,
     Universe,
     basic_modular,
-    enumerate_monotone_boolean,
     evaluate,
     is_monotone,
     make_expr,
@@ -35,6 +36,7 @@ from entroplex.lp import (
 from entroplex.functions import _elemental_rows
 
 BOX = Fraction(10**18)
+MONOTONE_ENUM_MAX_N = 5
 
 
 def rand_expr(rng: random.Random, uni: Universe, lo: int = -2, hi: int = 2) -> Expr:
@@ -44,6 +46,58 @@ def rand_expr(rng: random.Random, uni: Universe, lo: int = -2, hi: int = 2) -> E
         if c:
             terms[mask] = Fraction(c)
     return make_expr(uni, terms)
+
+
+def enumerate_monotone_boolean(uni: Universe) -> Iterator[SetFunction]:
+    """Every monotone 0/1 function with value({}) = 0, each exactly once.
+
+    Equivalently the upward-closed families of nonempty subsets. Yielded in
+    increasing order of the family bitmask (bit m set iff value(mask m) = 1).
+    Counts follow the Dedekind numbers minus one: 2, 5, 19, 167, 7580 for
+    n = 1..5.
+    """
+    n = uni.n
+    if n > MONOTONE_ENUM_MAX_N:
+        raise DomainError(
+            f"monotone enumeration capped at n <= {MONOTONE_ENUM_MAX_N}"
+        )
+    size = 1 << n
+    masks = list(range(1, size))
+    # Deciding membership for larger sets first makes the monotonicity check
+    # local: mask may be 1 only if all its immediate supersets are 1.
+    order = sorted(masks, key=lambda m: (-bin(m).count("1"), m))
+    supersets = {
+        m: [m | 1 << i for i in range(n) if not m >> i & 1] for m in masks
+    }
+    families: list[int] = []
+
+    def assign(pos: int, family: int) -> None:
+        if pos == len(order):
+            families.append(family)
+            return
+        m = order[pos]
+        assign(pos + 1, family)  # value(m) = 0
+        if all(family >> s & 1 for s in supersets[m]):
+            assign(pos + 1, family | 1 << m)
+
+    assign(0, 0)
+    one, zero = Fraction(1), Fraction(0)
+    for family in sorted(families):
+        yield SetFunction(
+            uni,
+            tuple(one if m and family >> m & 1 else zero for m in range(size)),
+        )
+
+
+def upset_indicator(uni: Universe, gens: Sequence[int]) -> SetFunction:
+    """The 0/1 function that is 1 on the supersets of any generator, every
+    value stored: the eager reference for the package's on-demand up-sets."""
+    one, zero = Fraction(1), Fraction(0)
+    values = [zero] * (1 << uni.n)
+    for m in range(1, 1 << uni.n):
+        if any(g & ~m == 0 for g in gens):
+            values[m] = one
+    return SetFunction(uni, tuple(values))
 
 
 def monotone_brute(expr: Expr) -> bool:

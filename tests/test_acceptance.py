@@ -26,7 +26,6 @@ from entroplex import (
     decode_coloring_witness,
     decode_monsat_witness,
     decode_partition_witness,
-    enumerate_monotone_boolean,
     from_3coloring,
     from_3dmonsat,
     from_partition,
@@ -48,7 +47,7 @@ from entroplex import (
 )
 from entroplex.cli import main as cli_main
 from entroplex.reductions import assignment_satisfies, coloring_is_proper
-from helpers import pairing_lp_monotone, rand_sigma
+from helpers import enumerate_monotone_boolean, pairing_lp_monotone, rand_sigma
 
 WORKED_TEXT = "h(X,Y) + h(Y,Z) + 2*h(X,Z) + h(X) >= h(Y) + 3*h(Z)"
 SUBMOD_TEXT = "h(X,Y) + h(X,Z) >= h(X) + h(X,Y,Z)"

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from entroplex import (
     DomainError,
+    SetFunction,
     basic_modular,
     distribution_from_csv,
     entropic_from_distribution,
-    enumerate_monotone_boolean,
     from_values,
     is_modular,
     is_monotone,
@@ -22,8 +22,14 @@ from entroplex import (
     universe,
     zero_function,
 )
-from entroplex.functions import StepValues
-from helpers import polymatroid_brute
+from entroplex.functions import UpSetValues
+from entroplex.validity import _minimal_sets
+from helpers import (
+    MONOTONE_ENUM_MAX_N,
+    enumerate_monotone_boolean,
+    polymatroid_brute,
+    upset_indicator,
+)
 
 XOR_CSV = "A,B,C,prob\n0,0,0,1/4\n0,1,1,1/4\n1,0,1,1/4\n1,1,0,1/4\n"
 
@@ -51,7 +57,7 @@ def test_step_values_computed_on_demand():
     for v in range(1, 8):
         lazy = step_function(uni, v)
         dense = from_values(uni, [1 if m & v else 0 for m in range(8)])
-        assert isinstance(lazy.values, StepValues)
+        assert isinstance(lazy.values, UpSetValues)
         assert lazy == dense and dense == lazy
         assert lazy.values == dense.values and dense.values == lazy.values
         assert hash(lazy) == hash(dense)
@@ -69,6 +75,41 @@ def test_step_values_computed_on_demand():
     with pytest.raises(IndexError):
         s.values[8]
     assert basic_modular(uni, "B") == step_function(uni, 0b010)
+    # Generator families in general, against the eager loop.
+    rng = random.Random(11)
+    for n in range(1, 7):
+        uni = universe(*[f"V{i}" for i in range(n)])
+        size = 1 << n
+        for _ in range(60):
+            gens = _minimal_sets(
+                [rng.randrange(1, size) for _ in range(rng.randint(1, 5))]
+            )
+            singles = sum(g for g in gens if g & (g - 1) == 0)
+            larger = tuple(g for g in gens if g & (g - 1))
+            lazy = UpSetValues(n, singles, larger)
+            eager = upset_indicator(uni, gens).values
+            assert tuple(lazy) == eager and len(lazy) == size
+            assert lazy == eager and eager == lazy
+            assert lazy == list(eager) and list(eager) == lazy
+            assert hash(lazy) == hash(eager)
+            assert lazy == UpSetValues(n, singles, larger)
+            assert SetFunction(uni, lazy) == SetFunction(uni, eager)
+            assert hash(SetFunction(uni, lazy)) == hash(SetFunction(uni, eager))
+            for i in (-1, -size, size // 2, -(size // 2) - 1):
+                assert lazy[i] == eager[i]
+            for sl in (slice(1, None), slice(None, None, -1),
+                       slice(-3, None, 2), slice(size // 2, 1, -3)):
+                assert lazy[sl] == eager[sl]
+            with pytest.raises(IndexError):
+                lazy[size]
+            with pytest.raises(IndexError):
+                lazy[-size - 1]
+            assert is_monotone(SetFunction(uni, lazy))
+            other = list(eager)
+            other[-1] = 1 - other[-1]
+            assert lazy != other and other != lazy
+            if singles != size - 1 or larger:
+                assert lazy != UpSetValues(n, size - 1)
 
 
 def test_basic_modular_values():
@@ -148,7 +189,7 @@ def test_monotone_enumeration_counts(n, count):
 
 
 def test_monotone_enumeration_cap():
-    uni = universe(*[f"V{i}" for i in range(6)])
+    uni = universe(*[f"V{i}" for i in range(MONOTONE_ENUM_MAX_N + 1)])
     with pytest.raises(DomainError):
         list(enumerate_monotone_boolean(uni))
 

@@ -281,6 +281,38 @@ def test_monotone_witness_beyond_old_scaling_cap():
             assert verdict.witness.generators == (1,)  # the up-set of {A}
 
 
+def test_monotone_witnesses_at_the_universe_cap_are_lazy(monkeypatch):
+    """A 4-term simple form over 24 declared variables: the monotone
+    witnesses, the check's own and the failing reduction's, name their
+    up-sets instead of storing 2^24 values."""
+    monkeypatch.delenv("ENTROPLEX_MAX_N", raising=False)
+    names = ",".join(f"V{i}" for i in range(24))
+    expr = parse_inequality(
+        f"vars {names};\nh(V0,V1) + h(V2) >= h(V1) + h(V2) + h(V3)"
+    )
+    expected = {
+        "auto": ("simple-reduction", "step function on {V0,V1,V3}", (), 0b1011),
+        "monotone": (
+            "fixpoint", "monotone 0/1 function, upward closure of {V3}", (8,),
+            None,
+        ),
+    }
+    for semantics, (method, text, generators, step_set) in expected.items():
+        tracemalloc.start()
+        try:
+            verdict = check(expr, semantics)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert_witness_sound(expr, verdict)
+        w = verdict.witness
+        assert (verdict.method, w.describe(), w.generators, w.step_set) == (
+            method, text, generators, step_set,
+        )
+        assert peak < 1 << 20, (semantics, peak)
+    assert w.function[8] == w.function[-1] == 1 and w.function[7] == 0
+
+
 def test_step_and_modular_match_brute_force():
     rng = random.Random(98)
     uni = universe("A", "B", "C")
