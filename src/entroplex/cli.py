@@ -29,7 +29,7 @@ from .bounds import (
 )
 from .core import CapExceeded, ConsistencyError, DomainError, evaluate, parse_fraction
 from .dsl import DslError, format_inequality, parse_inequality
-from .functions import distribution_from_csv, entropic_from_distribution
+from .functions import _marginal_entropy, distribution_from_csv
 from .reductions import (
     from_3coloring,
     from_3dmonsat,
@@ -228,9 +228,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     first = [c.strip() for c in data.splitlines()[0].split(",")] if data.strip() else []
     if first and first[-1] == "prob":
         dist = distribution_from_csv(data)
-        vector = entropic_from_distribution(dist)
         total = sum(
-            coeff * Fraction(vector[dist.universe.mask(expr.universe.names_of(m))])
+            coeff * Fraction(_marginal_entropy(
+                dist, dist.universe.mask(expr.universe.names_of(m))
+            ))
             for m, coeff in expr.terms.items()
         )
         try:
@@ -247,11 +248,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             values[expr.universe.mask(names)] = value
         if values.get(0, Fraction(0)) != 0:
             raise DomainError("the empty set must have value 0")
-        full = {
-            m: values.get(m, Fraction(0))
-            for m in range(1, expr.universe.full_mask + 1)
-        }
-        print(evaluate(expr, full))
+        print(evaluate(expr, {m: values.get(m, Fraction(0)) for m in expr.terms}))
     else:
         raise DomainError(
             "data file must be a distribution CSV (last column 'prob') or "

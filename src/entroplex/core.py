@@ -7,14 +7,11 @@ All coefficient arithmetic is exact rational; floats never enter a verdict.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Rat = Union[Fraction, int]
-
-DEFAULT_MAX_N = 24
 
 
 class DomainError(ValueError):
@@ -22,7 +19,7 @@ class DomainError(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    """A configured size cap was exceeded."""
+    """A size cap was exceeded."""
 
 
 class ConsistencyError(RuntimeError):
@@ -45,20 +42,6 @@ def parse_fraction(text: str, context: str) -> Fraction:
         raise DomainError(f"{context} {text!r}") from None
 
 
-def max_universe_size() -> int:
-    """Universe size cap; ENTROPLEX_MAX_N overrides the default of 24."""
-    raw = os.environ.get("ENTROPLEX_MAX_N")
-    if raw is None:
-        return DEFAULT_MAX_N
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"ENTROPLEX_MAX_N must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise DomainError("ENTROPLEX_MAX_N must be positive")
-    return value
-
-
 def _is_identifier(name: str) -> bool:
     if not name:
         return False
@@ -76,11 +59,6 @@ class Universe:
     _index: Mapping[str, int] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
-        if len(self.names) > max_universe_size():
-            raise CapExceeded(
-                f"universe of {len(self.names)} variables exceeds cap "
-                f"{max_universe_size()}"
-            )
         seen: dict[str, int] = {}
         for i, name in enumerate(self.names):
             if not _is_identifier(name):

@@ -19,15 +19,19 @@ from .core import DomainError, Expr, Rat, Universe, parse_fraction
 class SetFunction:
     """2^n exact values with value({}) = 0, indexed by mask.
 
-    The values are a tuple, or an UpSetValues that computes them on demand;
-    equality and hash do not depend on which.
+    The values are a tuple, or an UpSetValues that computes them on demand
+    and equals only an UpSetValues with the same generators.
     """
 
     universe: Universe
     values: Sequence[Fraction]
 
     def __post_init__(self) -> None:
-        if len(self.values) != 1 << self.universe.n:
+        if isinstance(self.values, UpSetValues):
+            size_ok = self.values.n == self.universe.n
+        else:
+            size_ok = len(self.values) == 1 << self.universe.n
+        if not size_ok:
             raise DomainError("value vector length must be 2^n")
         if self.values[0] != 0:
             raise DomainError("a set function must vanish on the empty set")
@@ -39,14 +43,14 @@ class SetFunction:
         """Readable mapping from '{A,B}' labels to values, nonempty sets only."""
         return {
             self.universe.label(m): self.values[m]
-            for m in range(1, len(self.values))
+            for m in range(1, 1 << self.universe.n)
         }
 
 
 _ONE, _ZERO = Fraction(1), Fraction(0)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class UpSetValues(Sequence):
     """The 2^n values of a monotone 0/1 function, computed on demand: 1 on
     the masks that contain one of its generators, 0 elsewhere.
@@ -54,7 +58,9 @@ class UpSetValues(Sequence):
     The singleton generators are held as one mask, `singles`, so a step
     function s^V (singles = V) and a basic modular one cost a single `&` per
     value. The other generators, `larger`, must be minimal and sorted, so
-    that equal functions have equal fields.
+    that equal functions have equal fields: equality and hash compare the
+    fields and never build the values. len() exists only below 63
+    variables, where 2^n fits a Py_ssize_t.
     """
 
     n: int
@@ -80,20 +86,6 @@ class UpSetValues(Sequence):
             if g & mask == g:
                 return _ONE
         return _ZERO
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, UpSetValues):
-            return (self.n, self.singles, self.larger) == (
-                other.n, other.singles, other.larger
-            )
-        if isinstance(other, Sequence):
-            return len(other) == len(self) and all(
-                a == b for a, b in zip(self, other)
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
 
 
 def from_values(uni: Universe, values: Sequence[Rat]) -> SetFunction:
@@ -212,19 +204,21 @@ class EntropyVector:
         return self.values[mask]
 
 
+def _marginal_entropy(dist: JointDistribution, mask: int) -> float:
+    """Entropy (base 2) of the marginal on the variables in mask."""
+    idx = [i for i in range(dist.universe.n) if mask >> i & 1]
+    marginal: dict[tuple[str, ...], Fraction] = {}
+    for values, p in dist.rows:
+        key = tuple(values[i] for i in idx)
+        marginal[key] = marginal.get(key, Fraction(0)) + p
+    return -sum(float(p) * math.log2(float(p)) for p in marginal.values())
+
+
 def entropic_from_distribution(dist: JointDistribution) -> EntropyVector:
     """Entropy (base 2) of every marginal of the distribution."""
-    uni = dist.universe
-    n = uni.n
-    out = [0.0] * (1 << n)
-    for mask in range(1, 1 << n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        marginal: dict[tuple[str, ...], Fraction] = {}
-        for values, p in dist.rows:
-            key = tuple(values[i] for i in idx)
-            marginal[key] = marginal.get(key, Fraction(0)) + p
-        out[mask] = -sum(float(p) * math.log2(float(p)) for p in marginal.values())
-    return EntropyVector(uni, tuple(out))
+    n = dist.universe.n
+    out = [0.0] + [_marginal_entropy(dist, mask) for mask in range(1, 1 << n)]
+    return EntropyVector(dist.universe, tuple(out))
 
 
 def distribution_from_csv(text: str) -> JointDistribution:

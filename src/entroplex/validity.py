@@ -22,7 +22,6 @@ from .core import (
     Universe,
     evaluate,
     make_expr,
-    max_universe_size,
     self_check,
     set_representation,
 )
@@ -169,6 +168,10 @@ def _plane_bytes(n: int, w: int) -> int:
     return (n + w) * ((1 << n) // 8 + 32)
 
 
+# What 64 planes take at n = 24 (about 185 MB).
+STEP_PLANE_BUDGET = _plane_bytes(24, 64)
+
+
 def check_step(expr: Expr) -> Verdict:
     """Evaluate every step function at once; first failure in lexicographic
     order of the step sets as sorted index tuples: {0},{0,1},...,{n-1}.
@@ -179,19 +182,20 @@ def check_step(expr: Expr) -> Verdict:
     (negatives it misses) = 2^(w-1) + f(V), spread over w bit planes, so
     the top plane is clear exactly on the failing sets.
 
-    Those planes are the only limit: past what 64 planes of values take at
-    the universe cap, CapExceeded is raised before anything is allocated.
+    Those planes are the only limit: past STEP_PLANE_BUDGET bytes, what 64
+    planes of values take at n = 24, CapExceeded is raised before anything
+    is allocated.
     """
     uni = expr.universe
     n = uni.n
     positives, negatives = set_representation(expr)
     negative_total = sum(negatives.values())
     w = max(negative_total, sum(positives.values())).bit_length() + 1
-    need, budget = _plane_bytes(n, w), _plane_bytes(max_universe_size(), 64)
-    if need > budget:
+    need = _plane_bytes(n, w)
+    if need > STEP_PLANE_BUDGET:
         raise CapExceeded(
             f"step check needs about {need} bytes of bit planes, "
-            f"over its budget of {budget}"
+            f"over its budget of {STEP_PLANE_BUDGET}"
         )
     size = 1 << n
     every = (1 << size) - 1

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -37,6 +38,17 @@ from entroplex.functions import _elemental_rows
 
 BOX = Fraction(10**18)
 MONOTONE_ENUM_MAX_N = 5
+
+
+def peak_bytes(call):
+    """call() and the tracemalloc peak it reached."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def rand_expr(rng: random.Random, uni: Universe, lo: int = -2, hi: int = 2) -> Expr:

@@ -106,6 +106,9 @@ def test_criterion_03_monotone_triple_agreement():
     uni = universe("A", "B", "C")
     fns = [tuple(fn.values) for fn in enumerate_monotone_boolean(uni)]
     assert len(fns) == 19
+    # Each function is 0/1, so its value on vec is the sum over its ones.
+    ones = [[m - 1 for m in range(1, 8) if fn[m]] for fn in fns]
+    assert all(set(fn) <= {0, 1} for fn in fns)
     checked = 0
     with stopwatch() as clock:
         for vec in itertools.product((-2, -1, 0, 1, 2), repeat=7):
@@ -113,10 +116,7 @@ def test_criterion_03_monotone_triple_agreement():
                 uni,
                 {m: Fraction(vec[m - 1]) for m in range(1, 8) if vec[m - 1]},
             )
-            brute = all(
-                sum(vec[m - 1] * fn[m] for m in range(1, 8)) >= 0
-                for fn in fns
-            )
+            brute = all(sum(vec[i] for i in idx) >= 0 for idx in ones)
             assert check_monotone_fixpoint(expr).valid == brute, vec
             assert pairing_lp_monotone(expr) == brute, vec
             checked += 1

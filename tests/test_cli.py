@@ -1,10 +1,23 @@
 """Command-line behavior: exit codes, output shapes, JSON schema."""
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
+from entroplex import (
+    distribution_from_csv,
+    entropic_from_distribution,
+    format_inequality,
+    from_3coloring,
+    make_expr,
+    parse_graph,
+    parse_inequality,
+    universe,
+)
 from entroplex.cli import main
+from helpers import peak_bytes
 
 WORKED = "h(X,Y) + h(Y,Z) + 2*h(X,Z) + h(X) >= h(Y) + 3*h(Z)\n"
 SUBMOD = "h(X,Y) + h(X,Z) >= h(X) + h(X,Y,Z)\n"
@@ -361,6 +374,108 @@ def test_reduce_to_stdout_and_file(capsys, tmp_path):
     part.write_text("1 3\n")
     code, out, _ = run(capsys, "reduce", "partition", str(part))
     assert code == 0 and "A1" in out
+
+
+def test_reduce_coloring_past_24_variables(capsys, tmp_path):
+    """A 9-vertex cycle reduces to an inequality over 27 variables."""
+    text = "p edge 9 9\n" + "".join(
+        f"e {i} {i % 9 + 1}\n" for i in range(1, 10)
+    )
+    path = tmp_path / "c9.col"
+    path.write_text(text)
+    code, out, err = run(capsys, "reduce", "coloring", str(path))
+    assert (code, err) == (0, "")
+    expected = from_3coloring(parse_graph(text))
+    assert expected.universe.n == 27
+    assert parse_inequality(out) == expected
+
+
+def test_bound_modular_on_30_variable_chain(capsys, tmp_path):
+    atoms = ", ".join(f"R{i}(V{i},V{i + 1})" for i in range(29))
+    lines = [f"query Q({','.join(f'V{i}' for i in range(30))}) = {atoms}",
+             "card R0 <= 2"]
+    lines += [f"logdeg R{i} (V{i + 1} | V{i}) <= 0" for i in range(1, 29)]
+    path = tmp_path / "chain30.cst"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "bound", str(path), "--method", "modular")
+    assert code == 0
+    assert out.splitlines()[0] == "log-bound: 1"
+
+
+def test_check_monotone_past_63_variables(capsys, tmp_path):
+    """2^63 values fit no Py_ssize_t; the lazy witness never needs them."""
+    names = ",".join(f"V{i}" for i in range(63))
+    path = tmp_path / "submod63.ineq"
+    path.write_text(
+        f"vars {names};\nh(V0,V2) + h(V1,V2) >= h(V0,V1,V2) + h(V2)\n"
+    )
+    code, out, err = run(capsys, "check", str(path), "--class", "monotone",
+                         "--witness")
+    assert (code, err) == (1, "")
+    assert out == (
+        "Invalid over monotone\n"
+        "witness: monotone 0/1 function, upward closure of {V0,V1,V2}\n"
+    )
+
+
+def test_eval_touches_only_named_sets(capsys, tmp_path):
+    """eval reads the sets and marginals its terms name, not all 2^n."""
+    names = ",".join(f"V{i}" for i in range(20))
+    ineq = tmp_path / "e20.ineq"
+    ineq.write_text(f"vars {names};\nh(V0,V1) + h(V2) >= h(V1) + 1/2*h(V0,V2)\n")
+    data = tmp_path / "fn20.csv"
+    data.write_text("set,value\nV0 V1,3\nV2,1\nV1,1/2\n")
+    (code, out, _), peak = peak_bytes(lambda: run(capsys, "eval", str(ineq), str(data)))
+    assert (code, out) == (0, "7/2\n")
+    assert peak < 1 << 20, peak
+
+    ineq = tmp_path / "im.ineq"
+    ineq.write_text("Im(V0,V1,V2) >= 0\n")
+    header = ",".join(f"V{i}" for i in range(18))
+    rows = [
+        ",".join([str(a), str(b), str(a ^ b)] + ["0"] * 15) + ",1/4"
+        for a in (0, 1) for b in (0, 1)
+    ]
+    data = tmp_path / "xor18.csv"
+    data.write_text("\n".join([header + ",prob"] + rows) + "\n")
+    (code, out, _), peak = peak_bytes(lambda: run(capsys, "eval", str(ineq), str(data)))
+    assert (code, out) == (0, "-1.0\n")
+    assert peak < 1 << 20, peak
+
+
+def test_eval_distribution_sums_the_entropy_vector(capsys, tmp_path):
+    """The per-term sum equals the sum over entropic_from_distribution's
+    vector, float for float, on seeded distributions of up to 5 columns."""
+    rng = random.Random(12)
+    ineq, data = tmp_path / "r.ineq", tmp_path / "r.csv"
+    for _ in range(200):
+        width = rng.randint(1, 5)
+        columns = [f"X{i}" for i in range(width)]
+        rows = {
+            tuple(str(rng.randrange(3)) for _ in columns): rng.randint(1, 9)
+            for _ in range(rng.randint(1, 8))
+        }
+        total = sum(rows.values())
+        data.write_text("\n".join(
+            [",".join(columns + ["prob"])]
+            + [",".join(list(r) + [f"{w}/{total}"]) for r, w in rows.items()]
+        ) + "\n")
+        uni = universe(*rng.sample(columns, rng.randint(1, width)))
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            terms[rng.randrange(1, 1 << uni.n)] = Fraction(
+                rng.randint(-9, 9), rng.randint(1, 4)
+            )
+        expr = make_expr(uni, terms)
+        ineq.write_text(format_inequality(expr) + "\n")
+        dist = distribution_from_csv(data.read_text())
+        vector = entropic_from_distribution(dist)
+        expected = float(sum(
+            c * Fraction(vector[dist.universe.mask(uni.names_of(m))])
+            for m, c in expr.terms.items()
+        ))
+        code, out, _ = run(capsys, "eval", str(ineq), str(data))
+        assert (code, out) == (0, f"{expected}\n")
 
 
 def test_eval_distribution(capsys, tmp_path):

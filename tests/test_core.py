@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from entroplex import (
-    CapExceeded,
     DomainError,
     Expr,
     combine,
@@ -19,7 +18,7 @@ from entroplex import (
     mutual_info,
     universe,
 )
-from entroplex.core import max_universe_size, set_representation
+from entroplex.core import set_representation
 
 
 def test_universe_basics():
@@ -45,21 +44,6 @@ def test_universe_rejects_bad_names():
         uni.index("B")
     with pytest.raises(DomainError):
         uni.names_of(4)
-
-
-def test_universe_cap_env(monkeypatch):
-    monkeypatch.setenv("ENTROPLEX_MAX_N", "2")
-    assert max_universe_size() == 2
-    with pytest.raises(CapExceeded):
-        universe("A", "B", "C")
-    monkeypatch.setenv("ENTROPLEX_MAX_N", "zero")
-    with pytest.raises(DomainError):
-        max_universe_size()
-    monkeypatch.setenv("ENTROPLEX_MAX_N", "-1")
-    with pytest.raises(DomainError):
-        max_universe_size()
-    monkeypatch.delenv("ENTROPLEX_MAX_N")
-    assert max_universe_size() == 24
 
 
 def test_entropy_and_conditional_expansion():

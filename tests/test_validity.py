@@ -57,6 +57,7 @@ from helpers import (
     modular_brute,
     monotone_brute,
     pairing_lp_monotone,
+    peak_bytes,
     rand_expr,
     step_brute,
     step_first_failing,
@@ -281,36 +282,57 @@ def test_monotone_witness_beyond_old_scaling_cap():
             assert verdict.witness.generators == (1,)  # the up-set of {A}
 
 
-def test_monotone_witnesses_at_the_universe_cap_are_lazy(monkeypatch):
-    """A 4-term simple form over 24 declared variables: the monotone
-    witnesses, the check's own and the failing reduction's, name their
-    up-sets instead of storing 2^24 values."""
-    monkeypatch.delenv("ENTROPLEX_MAX_N", raising=False)
-    names = ",".join(f"V{i}" for i in range(24))
-    expr = parse_inequality(
-        f"vars {names};\nh(V0,V1) + h(V2) >= h(V1) + h(V2) + h(V3)"
-    )
-    expected = {
-        "auto": ("simple-reduction", "step function on {V0,V1,V3}", (), 0b1011),
-        "monotone": (
-            "fixpoint", "monotone 0/1 function, upward closure of {V3}", (8,),
-            None,
-        ),
-    }
-    for semantics, (method, text, generators, step_set) in expected.items():
-        tracemalloc.start()
-        try:
-            verdict = check(expr, semantics)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert_witness_sound(expr, verdict)
-        w = verdict.witness
-        assert (verdict.method, w.describe(), w.generators, w.step_set) == (
-            method, text, generators, step_set,
-        )
-        assert peak < 1 << 20, (semantics, peak)
-    assert w.function[8] == w.function[-1] == 1 and w.function[7] == 0
+def _declared(n, text):
+    names = ",".join(f"V{i}" for i in range(n))
+    return parse_inequality(f"vars {names};\n{text}")
+
+
+def test_monotone_witnesses_at_the_universe_cap_are_lazy():
+    """A 4-term simple form and submodularity over 24 and 100 declared
+    variables: the monotone witnesses, the check's own and the failing
+    reduction's, name their up-sets instead of storing 2^n values, and no
+    size cap stands in the way of these polynomial checks."""
+    step = ("simple-reduction", "step function on {V0,V1,V3}", (), 0b1011)
+    cases = [
+        ("h(V0,V1) + h(V2) >= h(V1) + h(V2) + h(V3)", {
+            "auto": step,
+            "entropic": step,
+            "monotone": (
+                "fixpoint", "monotone 0/1 function, upward closure of {V3}",
+                (8,), None,
+            ),
+        }),
+        ("h(V0,V2) + h(V1,V2) >= h(V0,V1,V2) + h(V2)", {
+            "monotone": (
+                "fixpoint",
+                "monotone 0/1 function, upward closure of {V0,V1,V2}",
+                (7,), None,
+            ),
+        }),
+    ]
+    for n in (24, 100):
+        for text, expected in cases:
+            expr = _declared(n, text)
+            for semantics, want in expected.items():
+                verdict, peak = peak_bytes(lambda: check(expr, semantics))
+                assert_witness_sound(expr, verdict)
+                w = verdict.witness
+                assert (
+                    verdict.method, w.describe(), w.generators, w.step_set,
+                ) == want
+                assert peak < 1 << 20, (n, semantics, peak)
+        assert w.function[7] == w.function[-1] == 1 and w.function[6] == 0
+
+
+def test_hashing_a_lazy_witness_builds_no_values():
+    """Equality and hash of a lazy witness compare its generators only."""
+    expr = _declared(20, "h(V0,V1) + h(V2) >= h(V1) + h(V2) + h(V3)")
+    verdict = check(expr, "monotone")
+    for item in (verdict.witness, verdict):
+        _, peak = peak_bytes(lambda: hash(item))
+        assert peak < 1 << 20, (item, peak)
+    again = check(expr, "monotone")
+    assert again == verdict and hash(again) == hash(verdict)
 
 
 def test_step_and_modular_match_brute_force():
@@ -380,28 +402,30 @@ def test_step_kernel_matches_enumeration_past_2_62(expr):
     assert_step_matches_oracle(expr)
 
 
-def test_step_guard_refuses_before_allocating(monkeypatch):
-    """n = 24 and a 2^200 coefficient need about 474 MB of bit planes."""
-    monkeypatch.delenv("ENTROPLEX_MAX_N", raising=False)
+def test_step_guard_refuses_before_allocating():
+    """n = 24 and a 2^200 coefficient need about 474 MB of bit planes, and
+    submodularity over 40 variables about 5.9 TB."""
     uni = universe(*[f"V{i}" for i in range(24)])
-    expr = make_expr(uni, {uni.full_mask: 2**200, 1: -1})
-    tracemalloc.start()
-    start = time.perf_counter()
-    try:
-        with pytest.raises(CapExceeded, match="bit planes"):
-            check_step(expr)
-        elapsed = time.perf_counter() - start
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert elapsed < 1
-    assert peak < 1 << 20
+    big = _declared(40, "h(V0,V2) + h(V1,V2) >= h(V0,V1,V2) + h(V2)")
+    for expr in (make_expr(uni, {uni.full_mask: 2**200, 1: -1}), big):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(CapExceeded, match="bit planes"):
+                check_step(expr)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1
+        assert peak < 1 << 20
 
 
 def test_step_guard_admits_what_64_planes_allowed(monkeypatch):
-    """The budget is 64 planes at the universe cap, whatever that cap is:
-    at the cap itself a 63-bit total passes and a 64-bit one does not."""
-    monkeypatch.setenv("ENTROPLEX_MAX_N", "4")
+    """The budget is what 64 planes take at a given size: with the budget
+    of n = 4, a 63-bit total passes at n = 4 and a 64-bit one does not."""
+    assert validity.STEP_PLANE_BUDGET == validity._plane_bytes(24, 64) == 184_552_192
+    monkeypatch.setattr(validity, "STEP_PLANE_BUDGET", validity._plane_bytes(4, 64))
     uni = universe("A", "B", "C", "D")
     assert check_step(make_expr(uni, {15: 2**63 - 1, 1: -1})).valid
     with pytest.raises(CapExceeded):
