@@ -2,43 +2,32 @@
 
 Exit codes: 0 for a Valid verdict (and any successful non-check command),
 1 for Invalid, 2 for errors, unsupported requests, and bad input.
+
+Each subcommand imports the modules it uses when it runs, so a call loads
+only those: ``reduce`` never loads the checkers, ``check`` never the bounds.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .bounds import (
-    degree_scan,
-    is_acyclic,
-    is_simple,
-    logbound_modular,
-    logbound_polymatroid_dual,
-    logbound_simple_entropic,
-    logbound_step,
-    parse_constraints,
-    relation_from_csv,
+from .core import (
+    CapExceeded,
+    ConsistencyError,
+    DomainError,
+    DslError,
+    UnsupportedSemantics,
+    evaluate,
+    parse_fraction,
 )
-from .core import CapExceeded, ConsistencyError, DomainError, evaluate, parse_fraction
-from .dsl import DslError, format_inequality, parse_inequality
-from .functions import _marginal_entropy, distribution_from_csv
-from .reductions import (
-    from_3coloring,
-    from_3dmonsat,
-    from_partition,
-    parse_graph,
-    parse_monsat,
-    parse_partition,
-)
-from .validity import UnsupportedSemantics, Verdict, Witness, check
+
+if TYPE_CHECKING:
+    from .validity import Verdict, Witness
 
 JSON_SCHEMA_VERSION = 1
 WITNESS_TABLE_MAX_N = 12
@@ -101,6 +90,11 @@ def _print_witness(witness: Witness) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    import json
+
+    from .dsl import parse_inequality
+    from .validity import check
+
     expr = parse_inequality(_read(args.file))
     verdict = check(expr, args.semantics)
     if args.json:
@@ -140,20 +134,24 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 _BOUND_METHODS = {
-    "modular": logbound_modular,
-    "simple": logbound_simple_entropic,
-    "polymatroid": logbound_polymatroid_dual,
-    "step": logbound_step,
+    "modular": "logbound_modular",
+    "simple": "logbound_simple_entropic",
+    "polymatroid": "logbound_polymatroid_dual",
+    "step": "logbound_step",
 }
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    query, sigma = parse_constraints(_read(args.file))
+    import json
+
+    from . import bounds
+
+    query, sigma = bounds.parse_constraints(_read(args.file))
     method = args.method
     if method == "auto":
-        if is_simple(sigma):
+        if bounds.is_simple(sigma):
             method = "simple"
-        elif is_acyclic(sigma):
+        elif bounds.is_acyclic(sigma):
             method = "modular"
         else:
             method = "polymatroid"
@@ -162,7 +160,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
                 f"exponential-size program over {sigma.universe.n} variables",
                 file=sys.stderr,
             )
-    result = _BOUND_METHODS[method](query, sigma)
+    result = getattr(bounds, _BOUND_METHODS[method])(query, sigma)
     value_text = "inf" if not result.is_finite else str(result.value)
     if args.json:
         try:
@@ -190,15 +188,20 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
+# kind: (instance parser, reduction), both in `reductions`
 _REDUCERS = {
-    "monsat3": lambda text: from_3dmonsat(parse_monsat(text)),
-    "coloring": lambda text: from_3coloring(parse_graph(text)),
-    "partition": lambda text: from_partition(parse_partition(text)),
+    "monsat3": ("parse_monsat", "from_3dmonsat"),
+    "coloring": ("parse_graph", "from_3coloring"),
+    "partition": ("parse_partition", "from_partition"),
 }
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    expr = _REDUCERS[args.kind](_read(args.file))
+    from . import reductions
+    from .dsl import format_inequality
+
+    parse, build = (getattr(reductions, name) for name in _REDUCERS[args.kind])
+    expr = build(parse(_read(args.file)))
     text = format_inequality(expr) + "\n"
     if args.out is None:
         sys.stdout.write(text)
@@ -208,6 +211,9 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _sparse_function_values(text: str) -> dict[str, Fraction]:
+    import csv
+    import io
+
     rows = [r for r in csv.reader(io.StringIO(text)) if any(c.strip() for c in r)]
     header = [c.strip() for c in rows[0]]
     if header != ["set", "value"]:
@@ -223,6 +229,9 @@ def _sparse_function_values(text: str) -> dict[str, Fraction]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .dsl import parse_inequality
+    from .functions import _marginal_entropy, distribution_from_csv
+
     expr = parse_inequality(_read(args.ineq))
     data = _read(args.data)
     first = [c.strip() for c in data.splitlines()[0].split(",")] if data.strip() else []
@@ -258,6 +267,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_degscan(args: argparse.Namespace) -> int:
+    from .bounds import degree_scan, relation_from_csv
+
     relation = relation_from_csv(Path(args.csv).stem, _read(args.csv))
     selector = args.conditional
     if "|" in selector:

@@ -26,6 +26,17 @@ class ConsistencyError(RuntimeError):
     """A result failed its exact self-check: a bug here, never bad input."""
 
 
+class DslError(ValueError):
+    def __init__(self, message: str, line: int, col: int) -> None:
+        super().__init__(f"line {line}, column {col}: {message}")
+        self.line = line
+        self.col = col
+
+
+class UnsupportedSemantics(Exception):
+    """Requested semantics has no decision procedure here."""
+
+
 def self_check(condition: bool, claim: str) -> None:
     """Raise ConsistencyError unless the claim holds; unlike assert, this
     survives python -O."""

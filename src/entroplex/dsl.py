@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
+    DslError,
     Expr,
     Measure,
     Universe,
@@ -27,13 +28,6 @@ from .core import (
     multi_mutual_info,
     mutual_info,
 )
-
-
-class DslError(ValueError):
-    def __init__(self, message: str, line: int, col: int) -> None:
-        super().__init__(f"line {line}, column {col}: {message}")
-        self.line = line
-        self.col = col
 
 
 @dataclass(frozen=True)

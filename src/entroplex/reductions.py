@@ -13,7 +13,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .core import (
     CapExceeded,
@@ -24,7 +24,9 @@ from .core import (
     make_expr,
     multi_mutual_info,
 )
-from .validity import Witness
+
+if TYPE_CHECKING:
+    from .validity import Witness
 
 SAT_ORACLE_MAX_VARS = 20
 COLORING_ORACLE_MAX_VERTICES = 8

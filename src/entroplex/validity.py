@@ -20,6 +20,7 @@ from .core import (
     DomainError,
     Expr,
     Universe,
+    UnsupportedSemantics,
     evaluate,
     make_expr,
     self_check,
@@ -42,10 +43,6 @@ SIMPLE_CLASSES = ("step", "normal", "entropic", "polymatroid")
 
 class FormError(DomainError):
     """Input is not in the syntactic form a checker requires."""
-
-
-class UnsupportedSemantics(Exception):
-    """Requested semantics has no decision procedure here."""
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,13 @@ package modules are checked against.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 from entroplex import (
@@ -38,6 +41,22 @@ from entroplex.functions import _elemental_rows
 
 BOX = Fraction(10**18)
 MONOTONE_ENUM_MAX_N = 5
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench(name: str):
+    """The module bench/<name>.py, loaded without putting bench/ on sys.path."""
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", BENCH / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    # Dataclasses look their module up while the class is being built.
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def peak_bytes(call):
