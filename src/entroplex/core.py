@@ -210,6 +210,15 @@ def multi_mutual_info(s: int) -> Measure:
     return Measure("multi", (s,))
 
 
+def _inclusion_exclusion(s: int) -> Iterator[tuple[int, int]]:
+    """(T, +1 or -1) for each nonempty T inside s, +1 on odd |T|: the
+    h-terms of the multivariate mutual information of s, largest T first."""
+    t = s
+    while t:
+        yield t, 1 if bin(t).count("1") % 2 else -1
+        t = (t - 1) & s
+
+
 def expand_measure(uni: Universe, m: Measure, weight: Rat = 1) -> Expr:
     """Weighted h-term expansion of a measure."""
     w = Fraction(weight)
@@ -246,12 +255,8 @@ def expand_measure(uni: Universe, m: Measure, weight: Rat = 1) -> Expr:
         (s,) = m.operands
         if s == 0:
             raise DomainError("multivariate mutual information needs a nonempty set")
-        # inclusion-exclusion over nonempty T subseteq S
-        t = s
-        while t:
-            sign = -1 if bin(t).count("1") % 2 == 0 else 1
+        for t, sign in _inclusion_exclusion(s):
             add(t, sign * w)
-            t = (t - 1) & s
     else:
         raise DomainError(f"unknown measure kind {m.kind!r}")
     return make_expr(uni, acc)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .core import (
@@ -20,9 +19,8 @@ from .core import (
     DomainError,
     Expr,
     Universe,
-    expand_measure,
+    _inclusion_exclusion,
     make_expr,
-    multi_mutual_info,
 )
 
 if TYPE_CHECKING:
@@ -110,14 +108,13 @@ def from_3dmonsat(phi: MonSat3Instance) -> Expr:
     """
     uni = Universe(tuple(sorted(phi.variables)))
     full = uni.full_mask
-    acc: dict[int, Fraction] = defaultdict(Fraction, {full: Fraction(-1)})
+    acc: dict[int, int] = defaultdict(int, {full: -1})
     for clause in phi.positive:
         acc[full] += 1
         acc[uni.mask(clause)] -= 1
     for clause in phi.negative:
-        m = uni.mask(clause)
-        for mask, c in expand_measure(uni, multi_mutual_info(m)).terms.items():
-            acc[mask] += int(c)
+        for mask, sign in _inclusion_exclusion(uni.mask(clause)):
+            acc[mask] += sign
     return make_expr(uni, acc)
 
 
@@ -134,7 +131,7 @@ def from_3coloring(g: Graph) -> Expr:
     uni = Universe(tuple(names))
     full = uni.full_mask
     weight = 2 * len(g.vertices) + 1
-    acc: dict[int, Fraction] = defaultdict(Fraction, {full: Fraction(-weight)})
+    acc: dict[int, int] = defaultdict(int, {full: -weight})
     for v in g.vertices:
         for c in COLORS:
             acc[uni.mask([f"{v}_{c}"])] += 1
@@ -162,9 +159,9 @@ def from_partition(inst: PartitionInstance) -> Expr:
         raise DomainError("total sum must be even")
     uni = Universe(tuple(f"A{i + 1}" for i in range(len(items))))
     bound = (m // 2) ** 2 - 1
-    acc: dict[int, Fraction] = defaultdict(Fraction)
+    acc: dict[int, int] = defaultdict(int)
     if uni.full_mask:
-        acc[uni.full_mask] = Fraction(bound)
+        acc[uni.full_mask] = bound
     for i, j in itertools.combinations(range(len(items)), 2):
         x = items[i] * items[j]
         a, b = 1 << i, 1 << j

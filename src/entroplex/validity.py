@@ -142,30 +142,14 @@ def check_modular(expr: Expr) -> Verdict:
     return Verdict(True, ("modular",), "modular")
 
 
-def _add_to_planes(planes: list[int], k: int, where: int) -> None:
-    """Add k to the bit-sliced value of every set in the bitmap `where`.
-
-    planes[j] holds bit j of each set's value; the ripple carry stops once
-    k's bits are used up and no set carries any more.
-    """
-    carry, top = 0, k.bit_length()
-    for j, plane in enumerate(planes):
-        if k >> j & 1:
-            planes[j] = plane ^ where ^ carry
-            carry = (plane & where) | (carry & (plane ^ where))
-        elif carry:
-            planes[j] = plane ^ carry
-            carry &= plane
-        elif j >= top:
-            return
-
-
 def _plane_bytes(n: int, w: int) -> int:
-    """About what check_step's n + w bit planes of 2^n bits take."""
-    return (n + w) * ((1 << n) // 8 + 32)
+    """About what check_step holds at once, in bitmaps of 2^n bits: the n
+    `has` patterns, at most 2w column bitmaps and the temporaries, which
+    measured under n more at n = 16-21."""
+    return 2 * (n + w) * ((1 << n) // 8 + 32)
 
 
-# What 64 planes take at n = 24 (about 185 MB).
+# What the kernel holds at n = 24 and w = 64 (about 369 MB).
 STEP_PLANE_BUDGET = _plane_bytes(24, 64)
 
 
@@ -176,12 +160,12 @@ def check_step(expr: Expr) -> Verdict:
     Bit V of each 2^n-bit integer below stands for the step set V. With N
     the total negative and P the total positive multiplicity, every set's
     value is kept as the w-bit number 2^(w-1) - N + (positives it meets) +
-    (negatives it misses) = 2^(w-1) + f(V), spread over w bit planes, so
-    the top plane is clear exactly on the failing sets.
+    (negatives it misses) = 2^(w-1) + f(V), summed bit-sliced in carry-save
+    form, so the top bit plane is clear exactly on the failing sets.
 
-    Those planes are the only limit: past STEP_PLANE_BUDGET bytes, what 64
-    planes of values take at n = 24, CapExceeded is raised before anything
-    is allocated.
+    Those bitmaps are the only limit: past STEP_PLANE_BUDGET bytes, what
+    the kernel holds at n = 24 and w = 64, CapExceeded is raised before
+    anything is allocated.
     """
     uni = expr.universe
     n = uni.n
@@ -206,19 +190,49 @@ def check_step(expr: Expr) -> Verdict:
         has.append(pattern)
 
     def hit(mask: int) -> int:
-        out = 0
-        for i in range(n):
+        i = (mask & -mask).bit_length() - 1
+        out = has[i]
+        for i in range(i + 1, n):
             if mask >> i & 1:
                 out |= has[i]
         return out
 
+    # Carry-save sum: cols[j] holds at most two bitmaps of weight 2^j. A
+    # third one goes through a full adder that leaves the sum in column j
+    # and carries into column j + 1. Every set's value stays below 2^w, so
+    # nothing carries out of the top column.
     start = (1 << (w - 1)) - negative_total
-    planes = [every if start >> j & 1 else 0 for j in range(w)]
+    cols = [[every] if start >> j & 1 else [] for j in range(w)]
+
+    def add(x: int, k: int) -> None:
+        for j in range(k.bit_length()):
+            if k >> j & 1:
+                c = x
+                for col in cols[j:]:
+                    if len(col) < 2:
+                        col.append(c)
+                        break
+                    a, b = col
+                    t = a ^ b
+                    col[:] = (t ^ c,)
+                    c = (a & b) | (c & t)
+
     for mask, k in positives.items():
-        _add_to_planes(planes, k, hit(mask))
+        add(hit(mask), k)
     for mask, k in negatives.items():
-        _add_to_planes(planes, k, every ^ hit(mask))
-    negative = every & ~planes[-1]
+        add(every ^ hit(mask), k)
+    # One ripple over the columns gives the top plane.
+    carry = 0
+    for col in cols[:-1]:
+        if len(col) == 2:
+            a, b = col
+            carry = (a & b) | (carry & (a ^ b))
+        else:
+            carry = carry & col[0] if col else 0
+    top = carry
+    for x in cols[-1]:
+        top ^= x
+    negative = every ^ top
     if not negative:
         return Verdict(True, STEP_CLASSES, "step-enumeration")
     # Descend the lexicographic tree: the child v | 1 << i heads the subtree

@@ -21,9 +21,14 @@ from entroplex import (
     SetFunction,
     Universe,
     basic_modular,
+    combine,
+    cond_entropy,
+    entropy,
     evaluate,
+    expand_measure,
     is_monotone,
     make_expr,
+    multi_mutual_info,
     step_function,
     universe,
 )
@@ -38,6 +43,7 @@ from entroplex.lp import (
     feasible,
 )
 from entroplex.functions import _elemental_rows
+from entroplex.reductions import COLORS
 
 BOX = Fraction(10**18)
 MONOTONE_ENUM_MAX_N = 5
@@ -186,6 +192,49 @@ def step_first_failing(expr: Expr) -> Optional[int]:
         if sum(k for mask, k in terms if mask & v) < 0:
             return v
     return None
+
+
+def monsat_by_measures(phi) -> Expr:
+    """from_3dmonsat as its docstring states it: h(X|C) per positive clause
+    and I(C) per negative clause, against h(X)."""
+    uni = Universe(tuple(sorted(phi.variables)))
+    full = uni.full_mask
+    parts = [(-1, expand_measure(uni, entropy(full)))]
+    parts += [(1, expand_measure(uni, cond_entropy(full, uni.mask(c))))
+              for c in phi.positive]
+    parts += [(1, expand_measure(uni, multi_mutual_info(uni.mask(c))))
+              for c in phi.negative]
+    return combine(uni, parts)
+
+
+def coloring_by_measures(g) -> Expr:
+    """from_3coloring as measures: each singleton h(v_c), and the block
+    weight times h(X | pair) for each ordered color pair of a vertex and
+    each edge's same-color pair, against the weight times h(X)."""
+    uni = Universe(tuple(sorted(f"{v}_{c}" for v in g.vertices for c in COLORS)))
+    full = uni.full_mask
+    weight = 2 * len(g.vertices) + 1
+    pairs = [uni.mask([f"{v}_{c}", f"{v}_{d}"])
+             for v in g.vertices for c, d in itertools.permutations(COLORS, 2)]
+    pairs += [uni.mask([f"{a}_{c}", f"{b}_{c}"]) for a, b in g.edges for c in COLORS]
+    parts = [(-weight, expand_measure(uni, entropy(full)))]
+    parts += [(1, expand_measure(uni, entropy(uni.mask([f"{v}_{c}"]))))
+              for v in g.vertices for c in COLORS]
+    parts += [(weight, expand_measure(uni, cond_entropy(full, m))) for m in pairs]
+    return combine(uni, parts)
+
+
+def partition_by_measures(inst) -> Expr:
+    """from_partition as measures: ((m/2)^2 - 1) h(X) minus each pair's
+    item product times h(Ai|Aj) + h(Aj|Ai)."""
+    items = inst.items
+    uni = Universe(tuple(f"A{i + 1}" for i in range(len(items))))
+    parts = [((sum(items) // 2) ** 2 - 1, expand_measure(uni, entropy(uni.full_mask)))]
+    for i, j in itertools.combinations(range(len(items)), 2):
+        x = items[i] * items[j]
+        parts.append((-x, expand_measure(uni, cond_entropy(1 << i, 1 << j))))
+        parts.append((-x, expand_measure(uni, cond_entropy(1 << j, 1 << i))))
+    return combine(uni, parts)
 
 
 def modular_brute(expr: Expr) -> bool:
@@ -533,9 +582,7 @@ def cone_memo_answers(position: int) -> str:
         check_monotone_fixpoint,
         check_polymatroid,
         check_step,
-        combine,
         cond_mutual_info,
-        expand_measure,
         logbound_polymatroid_dual,
         mutual_info,
     )

@@ -82,6 +82,15 @@ def test_multi_mutual_info_signs():
         6: Fraction(-1),
         7: Fraction(1),
     }
+    for n in range(1, 6):
+        uni = universe(*[f"V{i}" for i in range(n)])
+        for s in range(1, uni.full_mask + 1):
+            expected = {
+                t: (-1) ** (bin(t).count("1") - 1)
+                for t in range(1, s + 1) if t & s == t
+            }
+            e = expand_measure(uni, multi_mutual_info(s), Fraction(2, 3))
+            assert e.terms == {t: Fraction(2, 3) * c for t, c in expected.items()}
 
 
 def test_expand_measure_weight_and_range():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -26,6 +27,12 @@ from entroplex import (
     sat_oracle,
 )
 from entroplex.reductions import COLORS, assignment_satisfies, coloring_is_proper
+from helpers import (
+    coloring_by_measures,
+    load_bench,
+    monsat_by_measures,
+    partition_by_measures,
+)
 
 
 def rand_monsat(rng):
@@ -195,6 +202,35 @@ def test_pair_form_of_coloring_and_partition():
     for expr in (from_3coloring(g), from_partition(PartitionInstance((2, 1, 1)))):
         _, rhs = expr.two_sided()
         assert all(bin(mask).count("1") <= 2 for mask in rhs)
+
+
+def test_generators_equal_measure_form():
+    """Each generator equals its inequality written as measures, on seeded
+    instances of the step-hard benchmark's shapes (n = 14-18) and on the
+    inputs of README's `reduce` examples."""
+    workloads = load_bench("workloads")
+    forms = {
+        "monsat3": (from_3dmonsat, monsat_by_measures),
+        "coloring": (from_3coloring, coloring_by_measures),
+        "partition": (from_partition, partition_by_measures),
+    }
+    rng = random.Random(14)
+    cases = [(family, make(rng, size))
+             for family, make, size, _ in workloads._STEP_ROUND]
+    files = workloads.CLI_FILES
+    cases += [
+        ("monsat3", parse_monsat(files["phi.cnf"])),
+        ("coloring", parse_graph(files["graph.col"])),
+        ("partition", parse_partition(files["nums.txt"])),
+    ]
+    sizes = set()
+    for family, instance in cases:
+        generate, by_measures = forms[family]
+        expr = generate(instance)
+        assert expr == by_measures(instance)
+        assert all(type(c) is Fraction for c in expr.terms.values())
+        sizes.add(expr.universe.n)
+    assert {14, 15, 16, 18} <= sizes
 
 
 def test_parse_monsat():

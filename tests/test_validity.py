@@ -47,6 +47,7 @@ from entroplex import (
     universe,
 )
 import entroplex.validity as validity
+from entroplex.core import set_representation
 from entroplex.validity import (
     DECIDABLE,
     SIMPLE_CLASSES,
@@ -54,6 +55,7 @@ from entroplex.validity import (
     check_per_class,
 )
 from helpers import (
+    load_bench,
     modular_brute,
     monotone_brute,
     pairing_lp_monotone,
@@ -402,6 +404,39 @@ def test_step_kernel_matches_enumeration_past_2_62(expr):
     assert_step_matches_oracle(expr)
 
 
+@st.composite
+def cascade_step_exprs(draw):
+    """Up to 40 terms over a few masks, each 2^k - 1, 2^k or 10^30 for one k,
+    signed, over 1 or coprime denominators: the summed multiplicities set
+    many bits at once, so full adders cascade through many columns."""
+    n = draw(st.integers(1, 8))
+    uni = universe(*[f"V{i}" for i in range(n)])
+    masks = draw(st.lists(st.integers(1, uni.full_mask), min_size=1, max_size=8))
+    k = draw(st.integers(1, 70))
+    denominators = draw(st.sampled_from(((1,), _DENOMINATORS)))
+    coeffs = st.builds(
+        lambda magnitude, sign, d: Fraction(sign * magnitude, d),
+        st.sampled_from(((1 << k) - 1, 1 << k, 10**30)),
+        st.sampled_from((1, -1)),
+        st.sampled_from(denominators),
+    )
+    terms = {}
+    for _ in range(draw(st.integers(1, 40))):
+        mask = draw(st.sampled_from(masks))
+        terms[mask] = terms.get(mask, 0) + draw(coeffs)
+    return make_expr(uni, terms)
+
+
+@given(cascade_step_exprs())
+@settings(max_examples=200, deadline=None)
+# A full adder in column w - 2 carries into the top column: the start value,
+# the positive and the negative term each put a bitmap there.
+@example(make_expr(universe("A", "B"), {1: 2**40 + 5, 2: -(2**40)}))
+@example(make_expr(universe("A", "B"), {3: 2**40 + 5, 1: -(2**40)}))
+def test_step_kernel_carry_cascades(expr):
+    assert_step_matches_oracle(expr)
+
+
 def test_step_guard_refuses_before_allocating():
     """n = 24 and a 2^200 coefficient need about 474 MB of bit planes, and
     submodularity over 40 variables about 5.9 TB."""
@@ -422,14 +457,42 @@ def test_step_guard_refuses_before_allocating():
 
 
 def test_step_guard_admits_what_64_planes_allowed(monkeypatch):
-    """The budget is what 64 planes take at a given size: with the budget
-    of n = 4, a 63-bit total passes at n = 4 and a 64-bit one does not."""
-    assert validity.STEP_PLANE_BUDGET == validity._plane_bytes(24, 64) == 184_552_192
+    """The budget is what the kernel holds at w = 64 and a given size: with
+    the budget of n = 4, a 63-bit total passes at n = 4 and a 64-bit one
+    does not. Every (n, w) whose n + w planes fit in what 64 planes take
+    at n = 24 passes."""
+    assert validity.STEP_PLANE_BUDGET == validity._plane_bytes(24, 64) == 369_104_384
+    old_budget = 88 * ((1 << 24) // 8 + 32)
+    for n in range(1, 27):
+        plane = (1 << n) // 8 + 32
+        for w in range(1, 2000):
+            if (n + w) * plane <= old_budget:
+                assert validity._plane_bytes(n, w) <= validity.STEP_PLANE_BUDGET
     monkeypatch.setattr(validity, "STEP_PLANE_BUDGET", validity._plane_bytes(4, 64))
     uni = universe("A", "B", "C", "D")
     assert check_step(make_expr(uni, {15: 2**63 - 1, 1: -1})).valid
     with pytest.raises(CapExceeded):
         check_step(make_expr(uni, {15: 2**63, 1: -1}))
+
+
+def test_step_peak_within_plane_bytes():
+    """The guard's estimate covers what the kernel holds on seeded n = 18
+    reduction instances, solvable and not, of every family."""
+    workloads = load_bench("workloads")
+    rng = random.Random(18)
+    cases = [
+        from_3dmonsat(workloads._monsat_sat(rng, 18)),
+        from_3dmonsat(workloads._monsat_unsat(rng, 18)),
+        from_3coloring(workloads._graph_colorable(rng, 6)),
+        from_partition(workloads._partition_solvable(rng, 18)),
+        from_partition(workloads._partition_unsolvable(rng, 18)),
+    ]
+    for expr in cases:
+        positives, negatives = set_representation(expr)
+        w = max(sum(positives.values()), sum(negatives.values())).bit_length() + 1
+        verdict, peak = peak_bytes(lambda: check_step(expr))
+        assert expr.universe.n == 18
+        assert peak < validity._plane_bytes(18, w), (verdict.valid, w, peak)
 
 
 def _triples(names):
