@@ -60,7 +60,6 @@ _EXPORTS = {
         "logbound_polymatroid_dual",
         "logbound_simple_entropic",
         "logbound_step",
-        "natural_join",
         "parse_constraints",
         "relation_from_csv",
         "satisfies_degrees",

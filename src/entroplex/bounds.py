@@ -10,8 +10,6 @@ valid weighting exists.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import re
 from dataclasses import dataclass
@@ -23,6 +21,7 @@ from .core import (
     DomainError,
     Expr,
     Universe,
+    _csv_rows,
     make_expr,
     parse_fraction,
     self_check,
@@ -409,16 +408,10 @@ class Relation:
 
 
 def relation_from_csv(name: str, text: str) -> Relation:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DomainError("empty relation file") from None
-    schema = tuple(cell.strip() for cell in header)
-    rows = tuple(
-        tuple(cell.strip() for cell in row) for row in reader if row
-    )
-    return Relation(name, schema, rows)
+    rows = _csv_rows(text)
+    if not rows:
+        raise DomainError("empty relation file")
+    return Relation(name, tuple(rows[0]), tuple(tuple(row) for row in rows[1:]))
 
 
 def degree_scan(
@@ -463,40 +456,6 @@ def satisfies_degrees(
         if deg ** b.denominator > 2 ** b.numerator:
             return False
     return True
-
-
-def natural_join(query: Query, data: Mapping[str, Relation]) -> set[tuple]:
-    """All head tuples, by backtracking over atoms. Test-scale only."""
-    uni = query.universe
-    order: list[tuple[Relation, list[int]]] = []
-    for name, schema_mask in query.atoms:
-        if name not in data:
-            raise DomainError(f"no data for relation {name}")
-        rel = data[name]
-        names = uni.names_of(schema_mask)
-        if tuple(sorted(rel.schema)) != tuple(sorted(names)):
-            raise DomainError(f"schema mismatch for relation {name}")
-        order.append((rel, [uni.index(v) for v in rel.schema]))
-    out: set[tuple] = set()
-
-    def descend(i: int, bound: dict[int, str]) -> None:
-        if i == len(order):
-            out.add(tuple(bound[j] for j in range(uni.n)))
-            return
-        rel, positions = order[i]
-        for row in rel.rows:
-            extended = dict(bound)
-            ok = True
-            for pos, value in zip(positions, row):
-                if extended.get(pos, value) != value:
-                    ok = False
-                    break
-                extended[pos] = value
-            if ok:
-                descend(i + 1, extended)
-
-    descend(0, {})
-    return out
 
 
 _QUERY_RE = re.compile(r"^query\s+(\w+)\s*\(([^)]*)\)\s*=\s*(.+)$")

@@ -22,6 +22,7 @@ from .core import (
     DomainError,
     DslError,
     UnsupportedSemantics,
+    _csv_rows,
     evaluate,
     parse_fraction,
 )
@@ -37,6 +38,27 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _float(value: Fraction | float) -> float:
+    """float(value), or +-inf when value lies past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _nonzero_values(witness: Witness) -> Optional[list[tuple[str, Fraction]]]:
+    """(label, value) of each set the witness does not map to 0, or None
+    past WITNESS_TABLE_MAX_N variables."""
+    fn = witness.function
+    if fn.universe.n > WITNESS_TABLE_MAX_N:
+        return None
+    return [
+        (fn.universe.label(m), value)
+        for m in range(1, fn.universe.full_mask + 1)
+        if (value := fn[m])
+    ]
+
+
 def _witness_payload(witness: Witness) -> dict:
     uni = witness.function.universe
     payload: dict = {"kind": witness.kind, "description": witness.describe()}
@@ -46,12 +68,9 @@ def _witness_payload(witness: Witness) -> dict:
         payload["generators"] = [uni.label(g) for g in witness.generators]
     if witness.variable is not None:
         payload["variable"] = witness.variable
-    if uni.n <= WITNESS_TABLE_MAX_N:
-        payload["nonzero"] = {
-            uni.label(m): str(witness.function[m])
-            for m in range(1, uni.full_mask + 1)
-            if witness.function[m]
-        }
+    table = _nonzero_values(witness)
+    if table is not None:
+        payload["nonzero"] = {label: str(value) for label, value in table}
     return payload
 
 
@@ -80,13 +99,8 @@ def _provenance(verdict: Verdict) -> dict:
 
 def _print_witness(witness: Witness) -> None:
     print(f"witness: {witness.describe()}")
-    uni = witness.function.universe
-    if uni.n > WITNESS_TABLE_MAX_N:
-        return
-    for m in range(1, uni.full_mask + 1):
-        value = witness.function[m]
-        if value:
-            print(f"  {uni.label(m)}: {value}")
+    for label, value in _nonzero_values(witness) or ():
+        print(f"  {label}: {value}")
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -163,16 +177,12 @@ def cmd_bound(args: argparse.Namespace) -> int:
     result = getattr(bounds, _BOUND_METHODS[method])(query, sigma)
     value_text = "inf" if not result.is_finite else str(result.value)
     if args.json:
-        try:
-            value_float = float(result.value)
-        except OverflowError:  # display only; "value" stays exact
-            value_float = math.inf
         doc = {
             "schema": JSON_SCHEMA_VERSION,
             "command": "bound",
             "method": result.method,
             "value": value_text,
-            "value_float": value_float,
+            "value_float": _float(result.value),  # display only
             "linear_value": result.linear_value(),
         }
         if result.weights is not None:
@@ -210,31 +220,14 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sparse_function_values(text: str) -> dict[str, Fraction]:
-    import csv
-    import io
-
-    rows = [r for r in csv.reader(io.StringIO(text)) if any(c.strip() for c in r)]
-    header = [c.strip() for c in rows[0]]
-    if header != ["set", "value"]:
-        raise DomainError("expected a 'set,value' header")
-    out: dict[str, Fraction] = {}
-    for cells in rows[1:]:
-        if len(cells) != 2:
-            raise DomainError(f"bad set-function row {cells!r}")
-        out[cells[0].strip()] = parse_fraction(
-            cells[1].strip(), f"bad value in set-function row {cells!r}:"
-        )
-    return out
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     from .dsl import parse_inequality
     from .functions import _marginal_entropy, distribution_from_csv
 
     expr = parse_inequality(_read(args.ineq))
     data = _read(args.data)
-    first = [c.strip() for c in data.splitlines()[0].split(",")] if data.strip() else []
+    rows = _csv_rows(data)
+    first = rows[0] if rows else []
     if first and first[-1] == "prob":
         dist = distribution_from_csv(data)
         total = sum(
@@ -243,18 +236,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
             ))
             for m, coeff in expr.terms.items()
         )
-        try:
-            print(float(total))
-        except OverflowError:
-            print(math.inf if total > 0 else -math.inf)
+        print(_float(total))
     elif first == ["set", "value"]:
-        table = _sparse_function_values(data)
         values: dict[int, Fraction] = {}
-        for key, value in table.items():
-            for ch in "{},":
-                key = key.replace(ch, " ")
-            names = [n for n in key.split() if n]
-            values[expr.universe.mask(names)] = value
+        for cells in rows[1:]:
+            if len(cells) != 2:
+                raise DomainError(f"bad set-function row {cells!r}")
+            names = cells[0].translate(str.maketrans("{},", "   ")).split()
+            values[expr.universe.mask(names)] = parse_fraction(
+                cells[1], f"bad value in set-function row {cells!r}:"
+            )
         if values.get(0, Fraction(0)) != 0:
             raise DomainError("the empty set must have value 0")
         print(evaluate(expr, {m: values.get(m, Fraction(0)) for m in expr.terms}))
@@ -267,16 +258,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_degscan(args: argparse.Namespace) -> int:
-    from .bounds import degree_scan, relation_from_csv
+    from .bounds import _split_names, degree_scan, relation_from_csv
 
     relation = relation_from_csv(Path(args.csv).stem, _read(args.csv))
-    selector = args.conditional
-    if "|" in selector:
-        v_text, u_text = selector.split("|", 1)
-    else:
-        v_text, u_text = selector, ""
-    target = [v.strip() for v in v_text.split(",") if v.strip()]
-    condition = [v.strip() for v in u_text.split(",") if v.strip()]
+    v_text, _, u_text = args.conditional.partition("|")
+    target, condition = _split_names(v_text), _split_names(u_text)
     if not target:
         raise DomainError("empty degree target")
     print(degree_scan(relation, target, condition))

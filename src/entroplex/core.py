@@ -53,6 +53,16 @@ def parse_fraction(text: str, context: str) -> Fraction:
         raise DomainError(f"{context} {text!r}") from None
 
 
+def _csv_rows(text: str) -> list[list[str]]:
+    """The rows of every data file: quoting honoured, cells stripped, and
+    rows with no nonempty cell dropped."""
+    import csv
+    import io
+
+    rows = ([cell.strip() for cell in row] for row in csv.reader(io.StringIO(text)))
+    return [row for row in rows if any(row)]
+
+
 def _is_identifier(name: str) -> bool:
     if not name:
         return False

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .core import DomainError, Expr, Rat, Universe, parse_fraction
+from .core import DomainError, Expr, Rat, Universe, _csv_rows, parse_fraction
 
 
 @dataclass(frozen=True)
@@ -222,23 +222,19 @@ def entropic_from_distribution(dist: JointDistribution) -> EntropyVector:
 
 
 def distribution_from_csv(text: str) -> JointDistribution:
-    """Parse the CSV-like exchange format: variable headers plus a prob column.
-
-    Probabilities are exact rationals, `p/q` or integer.
-    """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    """Read a distribution CSV: a column per variable, then a `prob` column
+    of exact rationals (`p/q` or integer)."""
+    table = _csv_rows(text)
+    if not table:
         raise DomainError("empty distribution file")
-    header = [c.strip() for c in lines[0].split(",")]
-    if not header or header[-1] != "prob":
+    header = table[0]
+    if header[-1] != "prob":
         raise DomainError("last CSV column must be 'prob'")
-    names = tuple(header[:-1])
-    uni = Universe(names)
+    uni = Universe(tuple(header[:-1]))
     rows = []
-    for ln in lines[1:]:
-        cells = [c.strip() for c in ln.split(",")]
+    for cells in table[1:]:
         if len(cells) != len(header):
             raise DomainError(f"row has {len(cells)} cells, expected {len(header)}")
-        p = parse_fraction(cells[-1], f"bad probability in row {ln!r}:")
+        p = parse_fraction(cells[-1], f"bad probability in row {','.join(cells)!r}:")
         rows.append((tuple(cells[:-1]), p))
     return JointDistribution(uni, tuple(rows))

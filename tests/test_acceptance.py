@@ -35,7 +35,6 @@ from entroplex import (
     logbound_simple_entropic,
     logbound_step,
     make_expr,
-    natural_join,
     parse_constraints,
     parse_inequality,
     partition_oracle,
@@ -47,7 +46,12 @@ from entroplex import (
 )
 from entroplex.cli import main as cli_main
 from entroplex.reductions import assignment_satisfies, coloring_is_proper
-from helpers import enumerate_monotone_boolean, pairing_lp_monotone, rand_sigma
+from helpers import (
+    enumerate_monotone_boolean,
+    pairing_lp_monotone,
+    product_join,
+    rand_sigma,
+)
 
 WORKED_TEXT = "h(X,Y) + h(Y,Z) + 2*h(X,Z) + h(X) >= h(Y) + 3*h(Z)"
 SUBMOD_TEXT = "h(X,Y) + h(X,Z) >= h(X) + h(X,Y,Z)"
@@ -270,7 +274,10 @@ def test_criterion_09_agm_desk_check():
             "R3": relation_from_csv("R3", "A,C\n0,0\n0,1\n1,0\n1,1\n"),
         }
         assert satisfies_degrees(data, query4, sigma4)
-        out = natural_join(query4, data)
+        out = product_join(
+            [data[name].schema for name, _ in query4.atoms],
+            [set(data[name].rows) for name, _ in query4.atoms],
+        )
         assert len(out) == 8
         assert len(out) <= 2 ** bound.value
     report(9, clock, "3/2 by three methods; 8 joined tuples within 2^3")

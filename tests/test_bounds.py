@@ -30,7 +30,6 @@ from entroplex import (
     logbound_polymatroid_dual,
     logbound_simple_entropic,
     logbound_step,
-    natural_join,
     parse_constraints,
     relation_from_csv,
     satisfies_degrees,
@@ -41,7 +40,6 @@ from entroplex.lp import INFEASIBLE, OPTIMAL
 from helpers import (
     dense_solve,
     polymatroid_bound_dual_program,
-    product_join,
     rand_sigma,
 )
 
@@ -378,38 +376,6 @@ def test_satisfies_degrees_exact_power_check():
     # degree 1 always passes, whatever b
     one = {"R1": relation_from_csv("R1", "A,B\n0,0\n")}
     assert satisfies_degrees(one, query, sigma)
-
-
-def test_natural_join_matches_product_scan():
-    rng = random.Random(7)
-    uni = universe("A", "B", "C")
-    query = Query(uni, (("R1", 0b011), ("R2", 0b110), ("R3", 0b101)))
-    for _ in range(20):
-        data = {}
-        schemas = []
-        rels = []
-        for name, mask in query.atoms:
-            rows = tuple({
-                (str(rng.randint(0, 2)), str(rng.randint(0, 2)))
-                for _ in range(rng.randint(0, 5))
-            })
-            schema = uni.names_of(mask)
-            data[name] = Relation(name, schema, rows)
-            schemas.append(schema)
-            rels.append(rows)
-        assert natural_join(query, data) == product_join(schemas, rels)
-
-
-def test_natural_join_validates_schemas():
-    uni = universe("A", "B")
-    query = Query(uni, (("R1", 0b11),))
-    # column order is free as long as the name sets agree
-    flipped = Relation("R1", ("B", "A"), (("1", "2"),))
-    assert natural_join(query, {"R1": flipped}) == {("2", "1")}
-    with pytest.raises(DomainError):
-        natural_join(query, {"R1": Relation("R1", ("A", "C"), ())})
-    with pytest.raises(DomainError):
-        natural_join(query, {})
 
 
 def test_parse_constraints_full():

@@ -14,6 +14,7 @@ from entroplex import (
     make_expr,
     parse_graph,
     parse_inequality,
+    relation_from_csv,
     universe,
 )
 from entroplex.cli import main
@@ -525,6 +526,62 @@ def test_eval_set_function_quoted_cells(capsys, tmp_path):
     assert out.strip() == "5/3"
 
 
+def test_eval_distribution_after_a_blank_line(capsys, tmp_path):
+    """The shape is read from the first CSV row, not the first physical line."""
+    ineq = tmp_path / "im.ineq"
+    ineq.write_text("Im(A,B,C) >= 0\n")
+    data = tmp_path / "xor.csv"
+    data.write_text("\n" + XOR_CSV)
+    assert run(capsys, "eval", str(ineq), str(data)) == (0, "-1.0\n", "")
+
+
+def test_eval_distribution_quoted_header_and_cells(capsys, tmp_path):
+    ineq = tmp_path / "h.ineq"
+    ineq.write_text("h(A) >= 0\n")
+    data = tmp_path / "q.csv"
+    # "x,y" is one value of A, so A takes two values with probability 1/2
+    data.write_text('"A",prob\n"x,y",1/2\nz,"1/2"\n')
+    assert run(capsys, "eval", str(ineq), str(data)) == (0, "1.0\n", "")
+
+
+def _quote_cells(line: str) -> str:
+    return ",".join(f'"{cell}"' for cell in line.split(","))
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [
+        lambda lines: [lines[0], "", *lines[1:]],
+        lambda lines: [lines[0], " \t ", *lines[1:], "   "],
+        lambda lines: [_quote_cells(lines[0]), *lines[1:-1], _quote_cells(lines[-1])],
+    ],
+    ids=["blank-row", "whitespace-row", "quoted-cells"],
+)
+def test_data_files_share_one_csv_dialect(capsys, tmp_path, variant):
+    """A blank row, a whitespace-only row and quoted cells read alike in a
+    distribution, a relation and a set,value table."""
+    distribution = "A,B,prob\n0,1,1/4\n1,0,3/4"
+    relation = "A,B\n0,1\n1,0\n1,1"
+    table = "set,value\nA,1/2\nA B,2"
+    ineq = tmp_path / "e.ineq"
+    ineq.write_text("h(A,B) >= 2/3*h(A)\n")
+    data = tmp_path / "fn.csv"
+
+    def read_table(text):
+        data.write_text(text)
+        return run(capsys, "eval", str(ineq), str(data))
+
+    for read, text in [
+        (distribution_from_csv, distribution),
+        (lambda text: relation_from_csv("R", text), relation),
+        (read_table, table),
+    ]:
+        changed = "\n".join(variant(text.split("\n"))) + "\n"
+        assert changed != text + "\n"
+        assert read(changed) == read(text + "\n")
+    assert read_table(table) == (0, "5/3\n", "")
+
+
 def test_eval_rejects_unknown_format(capsys, tmp_path):
     ineq = tmp_path / "e.ineq"
     ineq.write_text("h(A) >= 0\n")
@@ -562,6 +619,12 @@ def test_degscan(capsys, tmp_path):
     assert out.strip() == "3"
     code, _, err = run(capsys, "degscan", str(rel), "|A")
     assert code == 2
+
+
+def test_degscan_skips_whitespace_only_line(capsys, tmp_path):
+    rel = tmp_path / "r.csv"
+    rel.write_text("A,B\n1,1\n   \n1,2\n2,1\n")
+    assert run(capsys, "degscan", str(rel), "B|A") == (0, "2\n", "")
 
 
 def test_missing_file_exit_two(capsys, tmp_path):

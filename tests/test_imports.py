@@ -80,7 +80,7 @@ def test_subcommand_loads_only_what_it_uses(command, tmp_path):
 
 
 def test_public_names_are_their_home_modules_objects():
-    assert len(entroplex.__all__) == 83
+    assert len(entroplex.__all__) == 82
     assert entroplex.__all__ == sorted(set(entroplex.__all__))
     for module, names in entroplex._EXPORTS.items():
         home = importlib.import_module(f"entroplex.{module}")
