@@ -44,8 +44,6 @@ from .validity import (
     check_step,
 )
 
-STEP_BOUND_MAX_N = 16
-
 
 @dataclass(frozen=True)
 class Conditional:
@@ -203,79 +201,80 @@ def sigma_inequality(sigma: GuardedSigma, weights: Sequence[Fraction]) -> Expr:
     return make_expr(uni, acc)
 
 
-def _weight_bound(
-    sigma: GuardedSigma,
-    lp: LinearProgram,
-    method: str,
-    checker: Callable[[Expr], Verdict],
-) -> BoundResult:
+def _weight_bound(sigma: GuardedSigma, lp: LinearProgram, method: str) -> BoundResult:
     """Minimize the budget over the entry weights, the program's last
-    columns; an infeasible program means no finite bound. The optimal
-    weights are re-verified by the class's own checker."""
+    columns; an infeasible program means no finite bound."""
     first = lp.n_vars - len(sigma.entries)
     lp.set_objective(
         {first + k: entry.log_degree for k, entry in enumerate(sigma.entries)}
     )
-    shape = lp.shape
     result = solve(lp)
     if result.status == INFEASIBLE:
-        return BoundResult(math.inf, method, lp_shape=shape)
+        return BoundResult(math.inf, method, lp_shape=lp.shape)
     self_check(result.status == OPTIMAL, "the objective is bounded below by 0")
-    weights = result.point[first:]
-    self_check(
-        checker(sigma_inequality(sigma, weights)).valid,
-        f"the weights are valid over {method} functions",
+    return BoundResult(
+        result.value, method, weights=result.point[first:], lp_shape=lp.shape
     )
-    return BoundResult(result.value, method, weights=weights, lp_shape=shape)
 
 
-def _covering_program(
-    sigma: GuardedSigma, supports: Sequence[Sequence[int]]
-) -> LinearProgram:
-    """Weights summing to at least 1 over every support."""
-    lp = LinearProgram(len(sigma.entries))
-    for support in supports:
-        lp.add_row({k: 1 for k in support}, ">=", 1)
-    return lp
+def _covering_bound(
+    sigma: GuardedSigma, method: str, checker: Callable[[Expr], Verdict]
+) -> BoundResult:
+    """Cheapest weighting the class's checker accepts, by covering rows.
 
-
-def logbound_modular(query: Query, sigma: GuardedSigma) -> BoundResult:
-    """Cheapest weighting whose targets cover every variable.
-
-    Evaluating the weighted form on each basic modular function leaves only
-    the weights of conditionals whose target holds the variable, so modular
-    validity is exactly the covering program.
+    On the step function of V the weighted form is the sum of the weights
+    of V's support, the entries whose target meets V and whose condition
+    avoids it, minus 1. The rows start from the single variables' supports.
+    Each round solves and asks the checker; a failing step set's support,
+    which the weights leave under 1, joins the rows (separation and
+    optimization, Grotschel, Lovasz and Schrijver 1981). Rows stay an
+    antichain, since a superset's row follows from its subset's. The last
+    checker call verifies the returned weights.
     """
-    supports = [
-        [k for k, entry in enumerate(sigma.entries) if entry.sigma.target >> a & 1]
-        for a in range(sigma.universe.n)
-    ]
-    lp = _covering_program(sigma, supports)
-    return _weight_bound(sigma, lp, "modular", check_modular)
 
-
-def logbound_step(query: Query, sigma: GuardedSigma) -> BoundResult:
-    """Weight program with one covering row per step function.
-
-    The weighted form evaluated on the step function of V keeps the weights
-    of conditionals whose target meets V while the condition avoids it, and
-    needs them to sum to at least 1. Rows collapse to the distinct support
-    sets, minimal supports only; the feasible region is unchanged.
-    """
-    uni = sigma.universe
-    if uni.n > STEP_BOUND_MAX_N:
-        raise CapExceeded(f"step bound capped at n <= {STEP_BOUND_MAX_N}")
-    supports = set()
-    for v in range(1, uni.full_mask + 1):
-        support = frozenset(
+    def support(v: int) -> frozenset[int]:
+        return frozenset(
             k
             for k, entry in enumerate(sigma.entries)
             if entry.sigma.target & v and not entry.sigma.condition & v
         )
-        supports.add(support)
-    minimal = [s for s in supports if not any(t < s for t in supports)]
-    lp = _covering_program(sigma, sorted(minimal, key=sorted))
-    return _weight_bound(sigma, lp, "step", check_step)
+
+    rows: list[frozenset[int]] = []
+    new_rows = [support(1 << a) for a in range(sigma.universe.n)]
+    while True:
+        for new in new_rows:
+            if not any(row <= new for row in rows):
+                rows = [row for row in rows if not new <= row] + [new]
+        lp = LinearProgram(len(sigma.entries))
+        for row in rows:
+            lp.add_row(dict.fromkeys(row, 1), ">=", 1)
+        result = _weight_bound(sigma, lp, method)
+        if not result.is_finite:
+            return result
+        verdict = checker(sigma_inequality(sigma, result.weights))
+        if verdict.valid:
+            return result
+        # Each round's row is new, as the witness cuts the weights off; no
+        # modular witness can, as the first rows are modular validity.
+        new = support(verdict.witness.step_set) if verdict.witness else None
+        self_check(
+            new is not None and sum(result.weights[k] for k in new) < 1,
+            f"the weights are valid over {method} functions",
+        )
+        new_rows = [new]
+
+
+def logbound_modular(query: Query, sigma: GuardedSigma) -> BoundResult:
+    """Cheapest weighting whose targets cover every variable: on the basic
+    modular function of A the weighted form keeps the weights whose target
+    holds A, so modular validity is the covering loop's first rows."""
+    return _covering_bound(sigma, "modular", check_modular)
+
+
+def logbound_step(query: Query, sigma: GuardedSigma) -> BoundResult:
+    """Cheapest weighting valid over step functions: the covering loop adds
+    the support row of each step set that check_step finds failing."""
+    return _covering_bound(sigma, "step", check_step)
 
 
 def logbound_polymatroid_dual(query: Query, sigma: GuardedSigma) -> BoundResult:
@@ -390,7 +389,13 @@ def logbound_simple_entropic(query: Query, sigma: GuardedSigma) -> BoundResult:
     for flows, form in rows:
         lp.add_row({**flows, **{col + 1 + s: c for s, c in form.items()}}, ">=", 0)
     lp.add_row({col: 1}, "=", 1)
-    return _weight_bound(sigma, lp, "simple-entropic", check_simple_sigma)
+    result = _weight_bound(sigma, lp, "simple-entropic")
+    self_check(
+        not result.is_finite
+        or check_simple_sigma(sigma_inequality(sigma, result.weights)).valid,
+        "the weights are valid over simple-entropic functions",
+    )
+    return result
 
 
 @dataclass(frozen=True)

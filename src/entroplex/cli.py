@@ -262,10 +262,7 @@ def cmd_degscan(args: argparse.Namespace) -> int:
 
     relation = relation_from_csv(Path(args.csv).stem, _read(args.csv))
     v_text, _, u_text = args.conditional.partition("|")
-    target, condition = _split_names(v_text), _split_names(u_text)
-    if not target:
-        raise DomainError("empty degree target")
-    print(degree_scan(relation, target, condition))
+    print(degree_scan(relation, _split_names(v_text), _split_names(u_text)))
     return 0
 
 

@@ -103,10 +103,6 @@ class _Parser:
         return names
 
     def rational(self) -> Fraction:
-        negative = False
-        if (tok := self.peek()) is not None and tok.kind == "-":
-            self.pos += 1
-            negative = True
         num = int(self.take("int", "a number").text)
         den = 1
         if (tok := self.peek()) is not None and tok.kind == "/":
@@ -117,8 +113,7 @@ class _Parser:
                 raise DslError(
                     "zero denominator", den_tok.line, den_tok.col
                 )
-        value = Fraction(num, den)
-        return -value if negative else value
+        return Fraction(num, den)
 
     def measure(self) -> tuple[Measure, list[Token]]:
         head = self.take("ident", "a measure (h, I, or Im)")
@@ -154,17 +149,19 @@ class _Parser:
         return terms
 
     def term(self) -> tuple:
-        tok = self.peek()
-        if tok is None:
+        # [+|-] [rational *] measure
+        start = tok = self.peek()
+        if start is None:
             raise self.fail("expected a term")
-        start = tok
-        if tok.kind in ("int", "-"):
+        if tok.kind in ("+", "-"):
+            self.pos += 1
+            tok = self.peek()
+        coeff = Fraction(1)
+        if tok is not None and tok.kind == "int":
             coeff = self.rational()
             self.take("*", "'*' after a coefficient")
-        else:
-            coeff = Fraction(1)
         shape, mentioned = self.measure()
-        return coeff, shape, start, mentioned
+        return (-coeff if start.kind == "-" else coeff), shape, start, mentioned
 
 
 def _build_measure(uni: Universe, kind: str, groups: tuple) -> Measure:

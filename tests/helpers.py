@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import importlib.util
 import itertools
+import math
 import random
 import sys
 import tracemalloc
@@ -636,6 +637,46 @@ def polymatroid_bound_dual_program(sigma) -> LinearProgram:
     for m in sorted(columns):
         dual.add_row(columns[m], ">=", 1 if m == uni.full_mask else 0)
     return dual
+
+
+def covering_bound_value(sigma, supports):
+    """Minimum budget sum(b_i * w_i) over weights w >= 0 that sum to at
+    least 1 over every support, by the dense tableau; math.inf when none
+    do, as when a support is empty."""
+    lp = LinearProgram(len(sigma.entries))
+    lp.set_objective({k: e.log_degree for k, e in enumerate(sigma.entries)})
+    for support in supports:
+        lp.add_row({k: 1 for k in support}, ">=", 1)
+    result = dense_solve(lp)
+    if result.status == INFEASIBLE:
+        return math.inf
+    assert result.status == OPTIMAL
+    return result.value
+
+
+def modular_bound_brute(sigma):
+    """The modular bound's program as it once was: one row per variable,
+    over the entries whose target holds it, duplicates and all."""
+    return covering_bound_value(sigma, [
+        [k for k, e in enumerate(sigma.entries) if e.sigma.target >> a & 1]
+        for a in range(sigma.universe.n)
+    ])
+
+
+def step_bound_brute(sigma):
+    """The step bound by enumeration: the support of every step set V (the
+    entries whose target meets V and whose condition avoids it), minimal
+    distinct supports only, which leaves the feasible region unchanged."""
+    supports = {
+        frozenset(
+            k
+            for k, e in enumerate(sigma.entries)
+            if e.sigma.target & v and not e.sigma.condition & v
+        )
+        for v in range(1, sigma.universe.full_mask + 1)
+    }
+    minimal = [s for s in supports if not any(t < s for t in supports)]
+    return covering_bound_value(sigma, sorted(minimal, key=sorted))
 
 
 def polymatroid_brute(fn) -> bool:

@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entroplex.bounds as bounds_mod
 from entroplex import (
@@ -19,6 +21,7 @@ from entroplex import (
     Query,
     Relation,
     build_sigma,
+    check_modular,
     check_polymatroid,
     check_simple_sigma,
     check_step,
@@ -39,8 +42,10 @@ from entroplex import (
 from entroplex.lp import INFEASIBLE, OPTIMAL
 from helpers import (
     dense_solve,
+    modular_bound_brute,
     polymatroid_bound_dual_program,
     rand_sigma,
+    step_bound_brute,
 )
 
 ALL_METHODS = (
@@ -161,6 +166,8 @@ def test_single_variable_system():
 
 
 def test_bound_monotone_in_degree_caps():
+    """Raising a degree cap never lowers the step bound; both systems' step
+    and modular bounds also match the enumerated programs."""
     rng = random.Random(4)
     for _ in range(25):
         query, sigma = rand_sigma(rng, n_max=4)
@@ -169,8 +176,50 @@ def test_bound_monotone_in_degree_caps():
         bumped = list(sigma.entries)
         e = bumped[k]
         bumped[k] = GuardedEntry(e.sigma, e.guard, e.log_degree + 1)
-        looser = logbound_step(query, GuardedSigma(sigma.universe, tuple(bumped)))
+        looser_sigma = GuardedSigma(sigma.universe, tuple(bumped))
+        looser = logbound_step(query, looser_sigma)
         assert looser.value >= base.value
+        assert_covering_bounds_match_brute(query, sigma)
+        assert_covering_bounds_match_brute(query, looser_sigma)
+
+
+def assert_covering_bounds_match_brute(query, sigma):
+    """The covering loop's step and modular values equal the enumerated step
+    program's and the unpruned singleton program's, and finite weights pass
+    the class's checker at a budget equal to the value."""
+    step = logbound_step(query, sigma)
+    modular = logbound_modular(query, sigma)
+    assert step.value == step_bound_brute(sigma)
+    assert modular.value == modular_bound_brute(sigma)
+    for result, checker in ((step, check_step), (modular, check_modular)):
+        if not result.is_finite:
+            assert result.weights is None
+            continue
+        assert checker(sigma_inequality(sigma, result.weights)).valid
+        budget = sum(w * e.log_degree for w, e in zip(result.weights, sigma.entries))
+        assert budget == result.value
+
+
+@st.composite
+def sigmas(draw):
+    n = draw(st.integers(1, 8))
+    uni = universe(*[f"V{i}" for i in range(n)])
+    masks = st.sets(st.integers(0, n - 1), max_size=n).map(
+        lambda vs: sum(1 << v for v in vs)
+    )
+    entries = []
+    for _ in range(draw(st.integers(1, 8))):
+        target = draw(masks.filter(bool))
+        cond = conditional(target, draw(masks) & ~target)
+        b = draw(st.fractions(0, 3, max_denominator=4))
+        entries.append(GuardedEntry(cond, 0, b))
+    return Query(uni, (("R0", uni.full_mask),)), GuardedSigma(uni, tuple(entries))
+
+
+@given(sigmas())
+@settings(max_examples=200, deadline=None)
+def test_covering_loop_matches_enumeration(system):
+    assert_covering_bounds_match_brute(*system)
 
 
 def test_acyclic_modular_matches_polymatroid():
@@ -317,15 +366,22 @@ def test_sigma_inequality_shape():
         sigma_inequality(sigma, (Fraction(1),) * 2)
 
 
-def test_caps():
-    n = 17
+def one_full_entry(n):
     uni = universe(*[f"V{i}" for i in range(n)])
     query = Query(uni, (("R0", uni.full_mask),))
     sigma = GuardedSigma(
         uni, (GuardedEntry(conditional(uni.full_mask), 0, Fraction(1)),)
     )
-    with pytest.raises(CapExceeded):
-        logbound_step(query, sigma)
+    return query, sigma
+
+
+def test_caps():
+    # The step bound has no cap of its own: the step checker's bit-plane
+    # budget is its only limit, and it admits no universe past 25 variables.
+    result = logbound_step(*one_full_entry(17))
+    assert result.value == 1 and result.weights == (1,)
+    with pytest.raises(CapExceeded, match="bit planes"):
+        logbound_step(*one_full_entry(26))
 
     n = 11
     uni = universe(*[f"V{i}" for i in range(n)])

@@ -621,6 +621,15 @@ def test_degscan(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("selector", ["|A", "A|A"])
+def test_degscan_empty_target_one_message(capsys, tmp_path, selector):
+    rel = tmp_path / "r.csv"
+    rel.write_text("A,B\n1,1\n")
+    assert run(capsys, "degscan", str(rel), selector) == (
+        2, "", "error: degree target is empty after normalization\n"
+    )
+
+
 def test_degscan_skips_whitespace_only_line(capsys, tmp_path):
     rel = tmp_path / "r.csv"
     rel.write_text("A,B\n1,1\n   \n1,2\n2,1\n")

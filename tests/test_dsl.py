@@ -36,6 +36,9 @@ def test_coefficients():
     assert terms_of("h(X) + h(X) >= 0") == {1: Fraction(2)}
     # negative coefficients are legal against a literal-zero right side
     assert terms_of("h(X,Y) + -1*h(X) >= 0") == {3: Fraction(1), 1: Fraction(-1)}
+    # a bare sign before a measure is a coefficient of -1 or 1
+    assert terms_of("h(X,Y) + -h(X) >= 0") == {3: Fraction(1), 1: Fraction(-1)}
+    assert terms_of("+h(X) + +2*h(Y) >= 0") == {1: Fraction(1), 2: Fraction(2)}
 
 
 def test_conditionals_and_information():
@@ -99,6 +102,8 @@ def test_negative_coefficient_placement():
         parse_inequality("h(X) >= -1*h(Y)")
     with pytest.raises(DslError):
         parse_inequality("-1*h(X) >= h(Y)")
+    with pytest.raises(DslError):
+        parse_inequality("h(X) >= -h(Y)")
     # fine when the right side is literal zero
     parse_inequality("-1/2*h(X) + h(X,Y) >= 0")
 
@@ -110,6 +115,9 @@ def test_error_positions():
     with pytest.raises(DslError) as exc:
         parse_inequality("h(X)\n+ $ >= 0")
     assert exc.value.line == 2
+    with pytest.raises(DslError) as exc:
+        parse_inequality("--h(X) >= 0")  # one sign per term
+    assert (exc.value.line, exc.value.col) == (1, 2)
     with pytest.raises(DslError):
         parse_inequality("h(X)")  # no comparison
     with pytest.raises(DslError):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import entroplex
+from entroplex import parse_inequality, parse_program, reductions, validity
 from entroplex.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
@@ -85,3 +86,45 @@ def test_public_name_count():
     stated = re.search(r"`__all__`,\s+(\d+) of them", README)
     assert stated is not None
     assert int(stated.group(1)) == len(entroplex.__all__)
+
+
+def test_inequality_term_forms_parse():
+    """Each term README lists under "Inequality files" parses on its own, a
+    leading sign reads as a coefficient of -1 or 1, and the header fixes
+    the variable order."""
+    block = README.split("## Inequality files", 1)[1].split("```", 2)[1]
+    header, *lines = filter(None, (
+        line.split("#", 1)[0].strip() for line in block.splitlines()
+    ))
+    assert parse_program(f"{header} h(Z) >= 0").universe.names == ("X", "Y", "Z")
+    terms = [t for line in lines for t in re.split(r"\s{2,}", line)]
+    assert "-h(Z)" in terms
+    for term in terms:
+        expr = parse_inequality(f"{term} >= 0")
+        assert expr.terms
+        if term[0] in "+-":
+            assert expr == parse_inequality(f"{term[0]}1*{term[1:]} >= 0")
+    assert parse_inequality("-h(Z) + h(X) >= 0") == parse_inequality("h(X) >= h(Z)")
+
+
+def test_caps_rows_match_their_constants():
+    """Every number in README's Caps table is the constant that enforces it."""
+    table = README.split("## Caps", 1)[1].split("|---|---|\n", 1)[1]
+    numbers = {}
+    for line in table.split("\n\n", 1)[0].splitlines():
+        label, value = line.strip("|").split("|")
+        numbers[label.strip()] = [
+            int(x.replace(",", "")) for x in re.findall(r"\d[\d,]*", value)
+        ]
+    # the row's formula comes first, then the budget and the (w, n) it fits
+    *_, budget, w, n = numbers.pop("step checker's bitmaps")
+    assert budget == validity.STEP_PLANE_BUDGET == validity._plane_bytes(n, w)
+    assert numbers == {
+        "polymatroid checks and bounds": [validity.POLYMATROID_MAX_N],
+        "SAT oracle": [reductions.SAT_ORACLE_MAX_VARS],
+        "coloring oracle": [reductions.COLORING_ORACLE_MAX_VERTICES],
+        "partition oracle": [
+            reductions.PARTITION_ORACLE_MAX_ITEMS,
+            reductions.PARTITION_ORACLE_MAX_SUM,
+        ],
+    }
