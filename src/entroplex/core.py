@@ -273,13 +273,26 @@ def expand_measure(uni: Universe, m: Measure, weight: Rat = 1) -> Expr:
 
 
 def evaluate(expr: Expr, values: Mapping[int, Rat]) -> Fraction:
-    """Exact value of the linear form at a set function given as mask -> value."""
+    """Exact value of the linear form at a set function given as mask -> value.
+
+    Zero values are skipped. Integer values, such as a witness's 0/1 values,
+    are summed exactly as integer numerators per coefficient denominator,
+    so only the other values cost a Fraction product each."""
     total = Fraction(0)
+    sums: dict[int, int] = {}  # coefficient denominator -> numerator sum
     for mask, coeff in expr.terms.items():
         value = values[mask]
-        if not isinstance(value, Fraction):
+        if not value:
+            continue
+        if not isinstance(value, (int, Fraction)):
             value = Fraction(value)  # exact, floats included
-        total += coeff * value
+        if value.denominator == 1:
+            den = coeff.denominator
+            sums[den] = sums.get(den, 0) + coeff.numerator * value.numerator
+        else:
+            total += coeff * value
+    for den, num in sums.items():
+        total += Fraction(num, den)
     return total
 
 

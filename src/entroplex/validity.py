@@ -143,29 +143,53 @@ def check_modular(expr: Expr) -> Verdict:
 
 
 def _plane_bytes(n: int, w: int) -> int:
-    """About what check_step holds at once, in bitmaps of 2^n bits: the n
-    `has` patterns, at most 2w column bitmaps and the temporaries, which
-    measured under n more at n = 16-21."""
+    """What check_step held at once before it split the sets into blocks, in
+    bitmaps of 2^n bits: the n `has` patterns, at most 2w column bitmaps and
+    the temporaries. The blocked kernel's bitmaps have at most
+    2^_STEP_LOW bits, so this overstates what it holds; it is kept
+    unchanged so that the step check admits exactly the inputs it admitted
+    before."""
     return 2 * (n + w) * ((1 << n) // 8 + 32)
 
 
-# What the kernel holds at n = 24 and w = 64 (about 369 MB).
+# What the kernel held at n = 24 and w = 64 (about 369 MB).
 STEP_PLANE_BUDGET = _plane_bytes(24, 64)
+
+# check_step's sets are split into blocks of 2^_STEP_LOW by their variables
+# from index _STEP_LOW up. 15 was the fastest on the step-hard corpus, with
+# 13, 14 and 16 close behind (BENCH_step_blocks.json).
+_STEP_LOW = 15
+
+
+def _lex_key(v: int) -> list[int]:
+    """The set v as its sorted indices."""
+    return [i for i in range(v.bit_length()) if v >> i & 1]
 
 
 def check_step(expr: Expr) -> Verdict:
     """Evaluate every step function at once; first failure in lexicographic
     order of the step sets as sorted index tuples: {0},{0,1},...,{n-1}.
 
-    Bit V of each 2^n-bit integer below stands for the step set V. With N
-    the total negative and P the total positive multiplicity, every set's
-    value is kept as the w-bit number 2^(w-1) - N + (positives it meets) +
-    (negatives it misses) = 2^(w-1) + f(V), summed bit-sliced in carry-save
-    form, so the top bit plane is clear exactly on the failing sets.
+    With N the total negative and P the total positive multiplicity, every
+    set's value is kept as the w-bit number 2^(w-1) - N + (positives it
+    meets) + (negatives it misses) = 2^(w-1) + f(V), summed bit-sliced in
+    carry-save form, so the top bit plane is clear exactly on the failing
+    sets.
 
-    Those bitmaps are the only limit: past STEP_PLANE_BUDGET bytes, what
-    the kernel holds at n = 24 and w = 64, CapExceeded is raised before
-    anything is allocated.
+    The sets come in blocks: the variables below index `low` = min(n,
+    _STEP_LOW) span a block, and each setting T of the others names one.
+    Bit L of a block's 2^low-bit integers stands for the step set L | T. A
+    term whose top part is empty has the same bitmap in every block, so
+    those terms are summed once into shared columns. Each block copies them
+    and adds the other terms: a term whose top part meets T adds the
+    constant k if positive and nothing if negative, and one that misses T
+    acts as its low part does. The constants are added once per block, as
+    the all-ones bitmap. The witness is the least of the blocks' first
+    failing sets.
+
+    STEP_PLANE_BUDGET, what the unblocked kernel held at n = 24 and w = 64,
+    still bounds the input: past it, CapExceeded is raised before anything
+    is allocated.
     """
     uni = expr.universe
     n = uni.n
@@ -178,10 +202,11 @@ def check_step(expr: Expr) -> Verdict:
             f"step check needs about {need} bytes of bit planes, "
             f"over its budget of {STEP_PLANE_BUDGET}"
         )
-    size = 1 << n
+    low = min(n, _STEP_LOW)
+    size = 1 << low
     every = (1 << size) - 1
-    has = []  # has[i]: the sets that contain variable i
-    for i in range(n):
+    has = []  # has[i]: the sets of a block that contain variable i
+    for i in range(low):
         half = 1 << i
         pattern, period = ((1 << half) - 1) << half, 2 * half
         while period < size:
@@ -189,11 +214,11 @@ def check_step(expr: Expr) -> Verdict:
             period <<= 1
         has.append(pattern)
 
-    def hit(mask: int) -> int:
-        i = (mask & -mask).bit_length() - 1
+    def hit(part: int) -> int:
+        i = (part & -part).bit_length() - 1
         out = has[i]
-        for i in range(i + 1, n):
-            if mask >> i & 1:
+        for i in range(i + 1, low):
+            if part >> i & 1:
                 out |= has[i]
         return out
 
@@ -201,10 +226,7 @@ def check_step(expr: Expr) -> Verdict:
     # third one goes through a full adder that leaves the sum in column j
     # and carries into column j + 1. Every set's value stays below 2^w, so
     # nothing carries out of the top column.
-    start = (1 << (w - 1)) - negative_total
-    cols = [[every] if start >> j & 1 else [] for j in range(w)]
-
-    def add(x: int, k: int) -> None:
+    def add(cols: list[list[int]], x: int, k: int) -> None:
         for j in range(k.bit_length()):
             if k >> j & 1:
                 c = x
@@ -217,36 +239,72 @@ def check_step(expr: Expr) -> Verdict:
                     col[:] = (t ^ c,)
                     c = (a & b) | (c & t)
 
+    start = (1 << (w - 1)) - negative_total
+    shared = [[every] if start >> j & 1 else [] for j in range(w)]
+    split = []  # (top part, low part's bitmap, ±k) of the other terms
     for mask, k in positives.items():
-        add(hit(mask), k)
-    for mask, k in negatives.items():
-        add(every ^ hit(mask), k)
-    # One ripple over the columns gives the top plane.
-    carry = 0
-    for col in cols[:-1]:
-        if len(col) == 2:
-            a, b = col
-            carry = (a & b) | (carry & (a ^ b))
+        if mask >> low:
+            part = mask & (size - 1)
+            split.append((mask >> low, hit(part) if part else 0, k))
         else:
-            carry = carry & col[0] if col else 0
-    top = carry
-    for x in cols[-1]:
-        top ^= x
-    negative = every ^ top
-    if not negative:
+            add(shared, hit(mask), k)
+    for mask, k in negatives.items():
+        if mask >> low:
+            part = mask & (size - 1)
+            split.append((mask >> low, hit(part) if part else 0, -k))
+        else:
+            add(shared, every ^ hit(mask), k)
+    first = 0  # the first failing set so far; the empty set never fails
+    for t in range(1 << (n - low)):
+        cols = shared
+        if split:
+            cols = [col[:] for col in shared]
+            const = 0
+            for high, bits, k in split:
+                if high & t:  # the term meets every set of the block
+                    const += max(k, 0)
+                elif not bits:  # and here it meets none
+                    const += max(-k, 0)
+                elif k > 0:
+                    add(cols, bits, k)
+                else:
+                    add(cols, every ^ bits, -k)
+            if const:
+                add(cols, every, const)
+        # One ripple over the columns gives the top plane.
+        carry = 0
+        for col in cols[:-1]:
+            if len(col) == 2:
+                a, b = col
+                carry = (a & b) | (carry & (a ^ b))
+            else:
+                carry = carry & col[0] if col else 0
+        top = carry
+        for x in cols[-1]:
+            top ^= x
+        negative = every ^ top
+        if not negative:
+            continue
+        # Descend the lexicographic tree: the child v | 1 << i heads the
+        # subtree of sets v | S with S inside {i+1..low-1}, whose bitmap is
+        # `below`. For T != 0 every set is L | T with L below T, so a longer
+        # L sorts first, (0, 1, 16) < (0, 16): the descent stops at a failing
+        # node only in block 0, and elsewhere ends at the deepest one.
+        v = 0
+        below = every
+        for i in range(low):
+            below ^= below & has[i]
+            m = v | 1 << i
+            if negative >> m & below:
+                v = m
+                if not t and negative >> v & 1:
+                    break
+        v |= t << low
+        if not first or _lex_key(v) < _lex_key(first):
+            first = v
+    if not first:
         return Verdict(True, STEP_CLASSES, "step-enumeration")
-    # Descend the lexicographic tree: the child v | 1 << i heads the subtree
-    # of sets v | S with S inside {i+1..n-1}, whose bitmap is `below`.
-    v = 0
-    below = every
-    for i in range(n):
-        below &= ~has[i]
-        m = v | 1 << i
-        if negative >> m & below:
-            v = m
-            if negative >> v & 1:
-                break
-    witness = Witness("step", step_function(uni, v), step_set=v)
+    witness = Witness("step", step_function(uni, first), step_set=first)
     return Verdict(
         False, STEP_CLASSES, "step-enumeration",
         witness=_verified_witness(expr, witness),

@@ -43,8 +43,10 @@ from entroplex.lp import (
     UNBOUNDED,
     feasible,
 )
+from entroplex.core import set_representation
 from entroplex.functions import _elemental_rows
 from entroplex.reductions import COLORS
+from entroplex.validity import STEP_CLASSES, Verdict, Witness
 
 BOX = Fraction(10**18)
 MONOTONE_ENUM_MAX_N = 5
@@ -193,6 +195,80 @@ def step_first_failing(expr: Expr) -> Optional[int]:
         if sum(k for mask, k in terms if mask & v) < 0:
             return v
     return None
+
+
+def step_kernel_unblocked(expr: Expr) -> Verdict:
+    """The step kernel before check_step split the sets into blocks: every
+    term's 2^n-bit bitmap summed in carry-save form, then one descent of
+    the lexicographic tree. check_step must return the same verdict,
+    witness included."""
+    uni = expr.universe
+    n = uni.n
+    positives, negatives = set_representation(expr)
+    negative_total = sum(negatives.values())
+    w = max(negative_total, sum(positives.values())).bit_length() + 1
+    size = 1 << n
+    every = (1 << size) - 1
+    has = []
+    for i in range(n):
+        half = 1 << i
+        pattern, period = ((1 << half) - 1) << half, 2 * half
+        while period < size:
+            pattern |= pattern << period
+            period <<= 1
+        has.append(pattern)
+
+    def hit(mask: int) -> int:
+        out = 0
+        for i in range(n):
+            if mask >> i & 1:
+                out |= has[i]
+        return out
+
+    start = (1 << (w - 1)) - negative_total
+    cols = [[every] if start >> j & 1 else [] for j in range(w)]
+
+    def add(x: int, k: int) -> None:
+        for j in range(k.bit_length()):
+            if k >> j & 1:
+                c = x
+                for col in cols[j:]:
+                    if len(col) < 2:
+                        col.append(c)
+                        break
+                    a, b = col
+                    t = a ^ b
+                    col[:] = (t ^ c,)
+                    c = (a & b) | (c & t)
+
+    for mask, k in positives.items():
+        add(hit(mask), k)
+    for mask, k in negatives.items():
+        add(every ^ hit(mask), k)
+    carry = 0
+    for col in cols[:-1]:
+        if len(col) == 2:
+            a, b = col
+            carry = (a & b) | (carry & (a ^ b))
+        else:
+            carry = carry & col[0] if col else 0
+    top = carry
+    for x in cols[-1]:
+        top ^= x
+    negative = every ^ top
+    if not negative:
+        return Verdict(True, STEP_CLASSES, "step-enumeration")
+    v = 0
+    below = every
+    for i in range(n):
+        below &= ~has[i]
+        m = v | 1 << i
+        if negative >> m & below:
+            v = m
+            if negative >> v & 1:
+                break
+    witness = Witness("step", step_function(uni, v), step_set=v)
+    return Verdict(False, STEP_CLASSES, "step-enumeration", witness=witness)
 
 
 def monsat_by_measures(phi) -> Expr:

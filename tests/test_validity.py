@@ -1,5 +1,6 @@
 """Validity checkers: examples, certificates, witnesses, brute-force agreement."""
 
+import contextlib
 import itertools
 import os
 import random
@@ -63,6 +64,7 @@ from helpers import (
     rand_expr,
     step_brute,
     step_first_failing,
+    step_kernel_unblocked,
 )
 
 U3 = universe("X", "Y", "Z")
@@ -346,8 +348,24 @@ def test_step_and_modular_match_brute_force():
         assert check_modular(expr).valid == modular_brute(expr)
 
 
+@contextlib.contextmanager
+def step_blocks(low):
+    """check_step with blocks of 2^low sets, so that small universes split."""
+    kept = validity._STEP_LOW
+    validity._STEP_LOW = low
+    try:
+        yield
+    finally:
+        validity._STEP_LOW = kept
+
+
 def assert_step_matches_oracle(expr):
+    """The default blocks and blocks of 2 and 8 sets, which split every
+    universe past 1 and 3 variables, give the oracle's first failing set."""
     verdict = check_step(expr)
+    for low in (1, 3):
+        with step_blocks(low):
+            assert check_step(expr) == verdict, low
     first = step_first_failing(expr)
     assert verdict.valid == (first is None)
     assert verdict.method == "step-enumeration"
@@ -493,6 +511,50 @@ def test_step_peak_within_plane_bytes():
         verdict, peak = peak_bytes(lambda: check_step(expr))
         assert expr.universe.n == 18
         assert peak < validity._plane_bytes(18, w), (verdict.valid, w, peak)
+
+
+def _rand_terms(rng, n, count=30):
+    """count random terms over n variables, coefficients ±1 and ±2."""
+    uni = universe(*[f"V{i}" for i in range(n)])
+    return make_expr(uni, {
+        rng.randint(1, uni.full_mask): rng.choice((-2, -1, 1, 2))
+        for _ in range(count)
+    })
+
+
+def test_step_blocks_match_unblocked_kernel():
+    """The blocked kernel's verdict and witness are the unblocked kernel's,
+    on seeded reduction instances of every family at n = 14-18, solvable
+    and not, which split into up to 8 blocks, and on 30 random terms at
+    n = 20 and 22, which split into 32 and 128."""
+    workloads = load_bench("workloads")
+    rng = random.Random(17)
+    cases = [
+        from_3dmonsat(workloads._monsat_sat(rng, 14)),
+        from_3dmonsat(workloads._monsat_sat(rng, 18)),
+        from_3dmonsat(workloads._monsat_unsat(rng, 16)),
+        from_3dmonsat(workloads._monsat_unsat(rng, 18)),
+        from_3coloring(workloads._graph_colorable(rng, 6)),
+        from_3coloring(workloads._graph_uncolorable(rng, 5)),
+        from_partition(workloads._partition_solvable(rng, 16)),
+        from_partition(workloads._partition_unsolvable(rng, 14)),
+    ]
+    cases += [_rand_terms(rng, n) for n in (20, 20, 22, 22)]
+    verdicts = []
+    for expr in cases:
+        verdict = check_step(expr)
+        assert repr(verdict) == repr(step_kernel_unblocked(expr))
+        verdicts.append(verdict.valid)
+    assert verdicts[:8] == [False, False, True, True, False, True, False, True]
+    assert not all(verdicts[8:])
+
+
+def test_step_peak_flat_past_one_block():
+    """30 random terms at n = 22: the unblocked kernel peaks at about 21 MB
+    of 2^22-bit bitmaps here, and a block's bitmaps have 2^15 bits."""
+    expr = _rand_terms(random.Random(22), 22)
+    _, peak = peak_bytes(lambda: check_step(expr))
+    assert peak < 1 << 20, peak
 
 
 def _triples(names):
