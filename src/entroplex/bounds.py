@@ -3,9 +3,10 @@ queries, computed exactly in log space.
 
 A constraint system pairs conditionals (V|U) with guard atoms and log-degree
 budgets b. Weighted sums of the conditionals that dominate h(X) over a
-function class turn the budgets into an output bound; each class gives one
-optimization routine here. Values are Fractions in bits, or math.inf when no
-valid weighting exists.
+function class turn the budgets into an output bound. The modular, step and
+simple-entropic bounds are one covering loop that differs only in the class
+checker it asks; the polymatroid bound is one LP over the elemental cone.
+Values are Fractions in bits, or math.inf when no valid weighting exists.
 """
 
 from __future__ import annotations
@@ -201,22 +202,6 @@ def sigma_inequality(sigma: GuardedSigma, weights: Sequence[Fraction]) -> Expr:
     return make_expr(uni, acc)
 
 
-def _weight_bound(sigma: GuardedSigma, lp: LinearProgram, method: str) -> BoundResult:
-    """Minimize the budget over the entry weights, the program's last
-    columns; an infeasible program means no finite bound."""
-    first = lp.n_vars - len(sigma.entries)
-    lp.set_objective(
-        {first + k: entry.log_degree for k, entry in enumerate(sigma.entries)}
-    )
-    result = solve(lp)
-    if result.status == INFEASIBLE:
-        return BoundResult(math.inf, method, lp_shape=lp.shape)
-    self_check(result.status == OPTIMAL, "the objective is bounded below by 0")
-    return BoundResult(
-        result.value, method, weights=result.point[first:], lp_shape=lp.shape
-    )
-
-
 def _covering_bound(
     sigma: GuardedSigma, method: str, checker: Callable[[Expr], Verdict]
 ) -> BoundResult:
@@ -228,8 +213,9 @@ def _covering_bound(
     Each round solves and asks the checker; a failing step set's support,
     which the weights leave under 1, joins the rows (separation and
     optimization, Grotschel, Lovasz and Schrijver 1981). Rows stay an
-    antichain, since a superset's row follows from its subset's. The last
-    checker call verifies the returned weights.
+    antichain, since a superset's row follows from its subset's. Each
+    checker passed here names a step set in every Invalid verdict, and its
+    last call verifies the returned weights.
     """
 
     def support(v: int) -> frozenset[int]:
@@ -239,6 +225,7 @@ def _covering_bound(
             if entry.sigma.target & v and not entry.sigma.condition & v
         )
 
+    budgets = {k: entry.log_degree for k, entry in enumerate(sigma.entries)}
     rows: list[frozenset[int]] = []
     new_rows = [support(1 << a) for a in range(sigma.universe.n)]
     while True:
@@ -248,17 +235,22 @@ def _covering_bound(
         lp = LinearProgram(len(sigma.entries))
         for row in rows:
             lp.add_row(dict.fromkeys(row, 1), ">=", 1)
-        result = _weight_bound(sigma, lp, method)
-        if not result.is_finite:
-            return result
-        verdict = checker(sigma_inequality(sigma, result.weights))
+        lp.set_objective(budgets)
+        result = solve(lp)
+        if result.status == INFEASIBLE:
+            return BoundResult(math.inf, method, lp_shape=lp.shape)
+        self_check(result.status == OPTIMAL, "the objective is bounded below by 0")
+        weights = result.point
+        verdict = checker(sigma_inequality(sigma, weights))
         if verdict.valid:
-            return result
+            return BoundResult(
+                result.value, method, weights=weights, lp_shape=lp.shape
+            )
         # Each round's row is new, as the witness cuts the weights off; no
         # modular witness can, as the first rows are modular validity.
         new = support(verdict.witness.step_set) if verdict.witness else None
         self_check(
-            new is not None and sum(result.weights[k] for k in new) < 1,
+            new is not None and sum(weights[k] for k in new) < 1,
             f"the weights are valid over {method} functions",
         )
         new_rows = [new]
@@ -334,68 +326,19 @@ def logbound_polymatroid_dual(query: Query, sigma: GuardedSigma) -> BoundResult:
 
 
 def logbound_simple_entropic(query: Query, sigma: GuardedSigma) -> BoundResult:
-    """Polynomial-size entropic bound for simple constraint systems.
+    """Entropic bound for simple constraint systems, exact.
 
-    With conditions of size <= 1 the weighted form is valid over entropic
-    functions iff, for every variable A, c_A >= d_A and the A-reduction is
-    valid over monotone functions. Here c_A - d_A is the sum of the weights
-    whose target holds A, minus 1: the covering row of A. The reduction
-    supplies w_k on the joint of each entry avoiding A and the covering
-    slack on the set of all other variables, and demands w_k at {b} for
-    each condition {b} with b != A; monotone validity is a transport from
-    the suppliers to the singletons they contain. So the block of A is one
-    demand row per condition variable b, one supply row per supplier set,
-    then the covering row, with one flow column per supplier and b in it.
-
-    The constant 1 is a pseudo-weight pinned by the one equality row, and
-    every other row reads >= 0. The columns are the flows, the constant,
-    then the weights: Bland's rule pivots through that order much faster
-    than with the weights first, and through each block faster in the row
-    order above than with the covering row first. The weights are
-    re-verified by check_simple_sigma.
+    With conditions of size <= 1 the weighted form is a simple-form
+    inequality, so check_simple_sigma decides its validity over entropic
+    functions, and each of its Invalid verdicts names a failing step set:
+    the covering loop runs with it as the class checker. Each round is
+    polynomial, n max-flows plus an LP over the entries. The number of
+    rounds is bounded only by the number of distinct supports; it is
+    polynomial only through the ellipsoid form of the separation argument.
     """
     if not is_simple(sigma):
         raise FormError("entropic bound requires conditions of size <= 1")
-    uni = sigma.universe
-    rows: list[tuple[dict[int, int], dict[int, int]]] = []  # (flows, weights)
-    col = 0
-    for a in range(uni.n):
-        bit = 1 << a
-        cover = {s: 1 for s, e in enumerate(sigma.entries) if e.sigma.target & bit}
-        cover[-1] = -1  # the pinned constant
-        supply = {uni.full_mask & ~bit: dict(cover)}  # the covering slack
-        demand: dict[int, dict[int, int]] = {}
-        for s, entry in enumerate(sigma.entries):
-            cond = entry.sigma
-            if not cond.joint & bit:
-                supply.setdefault(cond.joint, {})[s] = 1
-            if cond.condition & ~bit:
-                demand.setdefault(cond.condition, {})[s] = -1
-        inflow: dict[int, dict[int, int]] = {b: {} for b in demand}
-        outflows = []
-        for x, form in supply.items():
-            outflow = {}
-            for b in demand:
-                if not b & ~x:
-                    outflow[col] = -1
-                    inflow[b][col] = 1
-                    col += 1
-            if outflow:
-                outflows.append((outflow, form))
-        rows += [(inflow[b], form) for b, form in demand.items()]
-        rows += outflows
-        rows.append(({}, cover))
-    lp = LinearProgram(col + 1 + len(sigma.entries))
-    for flows, form in rows:
-        lp.add_row({**flows, **{col + 1 + s: c for s, c in form.items()}}, ">=", 0)
-    lp.add_row({col: 1}, "=", 1)
-    result = _weight_bound(sigma, lp, "simple-entropic")
-    self_check(
-        not result.is_finite
-        or check_simple_sigma(sigma_inequality(sigma, result.weights)).valid,
-        "the weights are valid over simple-entropic functions",
-    )
-    return result
+    return _covering_bound(sigma, "simple-entropic", check_simple_sigma)
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,8 @@ class UpSetValues(Sequence):
         return 1 << self.n
 
     def __getitem__(self, index):
+        if type(index) is int and 0 <= index < 1 << self.n:
+            return self._at(index)
         masks = range(1 << self.n)[index]  # an int, or a range for a slice
         if isinstance(masks, range):
             return tuple(map(self._at, masks))

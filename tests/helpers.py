@@ -42,6 +42,7 @@ from entroplex.lp import (
     OPTIMAL,
     UNBOUNDED,
     feasible,
+    solve,
 )
 from entroplex.core import set_representation
 from entroplex.functions import _elemental_rows
@@ -753,6 +754,66 @@ def step_bound_brute(sigma):
     }
     minimal = [s for s in supports if not any(t < s for t in supports)]
     return covering_bound_value(sigma, sorted(minimal, key=sorted))
+
+
+def simple_entropic_flow_bound(sigma):
+    """The simple-entropic bound as one transport program, by the paper's
+    reduction: math.inf, or the minimum budget.
+
+    With conditions of size <= 1 the weighted form is valid over entropic
+    functions iff, for every variable A, c_A >= d_A and the A-reduction is
+    valid over monotone functions. Here c_A - d_A is the sum of the weights
+    whose target holds A, minus 1: the covering row of A. The reduction
+    supplies w_k on the joint of each entry avoiding A and the covering
+    slack on the set of all other variables, and demands w_k at {b} for
+    each condition {b} with b != A; monotone validity is a transport from
+    the suppliers to the singletons they contain. So the block of A is one
+    demand row per condition variable b, one supply row per supplier set,
+    then the covering row, with one flow column per supplier and b in it.
+    The constant 1 is a pseudo-weight pinned by the one equality row; every
+    other row reads >= 0. Columns: the flows, the constant, the weights.
+    """
+    uni = sigma.universe
+    rows: list[tuple[dict[int, int], dict[int, int]]] = []  # (flows, weights)
+    col = 0
+    for a in range(uni.n):
+        bit = 1 << a
+        cover = {s: 1 for s, e in enumerate(sigma.entries) if e.sigma.target & bit}
+        cover[-1] = -1  # the pinned constant
+        supply = {uni.full_mask & ~bit: dict(cover)}  # the covering slack
+        demand: dict[int, dict[int, int]] = {}
+        for s, entry in enumerate(sigma.entries):
+            cond = entry.sigma
+            if not cond.joint & bit:
+                supply.setdefault(cond.joint, {})[s] = 1
+            if cond.condition & ~bit:
+                demand.setdefault(cond.condition, {})[s] = -1
+        inflow: dict[int, dict[int, int]] = {b: {} for b in demand}
+        outflows = []
+        for x, form in supply.items():
+            outflow = {}
+            for b in demand:
+                if not b & ~x:
+                    outflow[col] = -1
+                    inflow[b][col] = 1
+                    col += 1
+            if outflow:
+                outflows.append((outflow, form))
+        rows += [(inflow[b], form) for b, form in demand.items()]
+        rows += outflows
+        rows.append(({}, cover))
+    lp = LinearProgram(col + 1 + len(sigma.entries))
+    for flows, form in rows:
+        lp.add_row({**flows, **{col + 1 + s: c for s, c in form.items()}}, ">=", 0)
+    lp.add_row({col: 1}, "=", 1)
+    lp.set_objective(
+        {col + 1 + s: e.log_degree for s, e in enumerate(sigma.entries)}
+    )
+    result = solve(lp)
+    if result.status == INFEASIBLE:
+        return math.inf
+    assert result.status == OPTIMAL
+    return result.value
 
 
 def polymatroid_brute(fn) -> bool:

@@ -45,6 +45,7 @@ from helpers import (
     modular_bound_brute,
     polymatroid_bound_dual_program,
     rand_sigma,
+    simple_entropic_flow_bound,
     step_bound_brute,
 )
 
@@ -281,6 +282,41 @@ def test_simple_entropic_equals_step_beyond_criterion_08():
             )
             assert budget == result.value
     assert finite >= 30
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None)
+def test_simple_entropic_matches_flow_program(seed):
+    """The covering loop with check_simple_sigma as its checker equals the
+    paper's transport program and the step bound; finite weights pass the
+    checker at a budget equal to the value."""
+    query, sigma = rand_sigma(random.Random(seed), n_max=6, simple=True)
+    result = logbound_simple_entropic(query, sigma)
+    assert result.value == simple_entropic_flow_bound(sigma)
+    assert result.value == logbound_step(query, sigma).value
+    if result.is_finite:
+        budget = sum(w * e.log_degree for w, e in zip(result.weights, sigma.entries))
+        assert budget == result.value
+        assert check_simple_sigma(sigma_inequality(sigma, result.weights)).valid
+
+
+def chain_constraints(n):
+    """Atoms Ri(Vi, V(i+1)), card R0 <= 2 and logdeg Ri (V(i+1) | Vi) <= 1
+    for the others: the bound is n - 1."""
+    names = [f"V{i}" for i in range(n)]
+    atoms = ", ".join(f"R{i}({names[i]},{names[i + 1]})" for i in range(n - 1))
+    lines = [f"query Q({','.join(names)}) = {atoms}", "card R0 <= 2"]
+    lines += [
+        f"logdeg R{i} ({names[i + 1]} | {names[i]}) <= 1" for i in range(1, n - 1)
+    ]
+    return parse_constraints("\n".join(lines))
+
+
+def test_simple_entropic_chain_at_20_variables():
+    query, sigma = chain_constraints(20)
+    result = logbound_simple_entropic(query, sigma)
+    assert result.value == 19
+    assert result.value == logbound_step(query, sigma).value
 
 
 def test_polymatroid_beats_or_equals_step():

@@ -302,6 +302,7 @@ def test_bound_triangle(capsys, tmp_path):
     assert doc["value"] == "3/2"
     assert doc["value_float"] == 1.5
     assert doc["weights"] == ["1/2", "1/2", "1/2"]
+    assert (doc["lp_rows"], doc["lp_cols"]) == (3, 3)
 
 
 def test_bound_simple_method_rejects_non_simple(capsys, tmp_path):

@@ -97,15 +97,15 @@ def test_step_values_computed_on_demand():
             assert SetFunction(uni, lazy) != SetFunction(uni, eager)
             assert SetFunction(uni, lazy) == SetFunction(uni, same)
             assert hash(SetFunction(uni, lazy)) == hash(SetFunction(uni, same))
-            for i in (-1, -size, size // 2, -(size // 2) - 1):
+            for i in range(-size, size):  # negatives, then the int fast path
                 assert lazy[i] == eager[i]
+            assert lazy[True] == eager[True]
             for sl in (slice(1, None), slice(None, None, -1),
                        slice(-3, None, 2), slice(size // 2, 1, -3)):
                 assert lazy[sl] == eager[sl]
-            with pytest.raises(IndexError):
-                lazy[size]
-            with pytest.raises(IndexError):
-                lazy[-size - 1]
+            for i in (size, -size - 1, 1 << 70):
+                with pytest.raises(IndexError):
+                    lazy[i]
             assert is_monotone(SetFunction(uni, lazy))
             other = list(eager)
             other[-1] = 1 - other[-1]

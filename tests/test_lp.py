@@ -312,7 +312,10 @@ def test_package_programs_match_dense_tableau(monkeypatch):
         query, sigma = rand_sigma(rng, n_max=4, simple=True)
         for method in methods:
             method(query, sigma)
-    assert len(built) == 60  # 12 cone checks, then one LP per bound call
+    # 12 cone checks, then one LP per bound call: the polymatroid bound
+    # solves one, and on these seeded systems each covering loop ends in one
+    # round.
+    assert len(built) == 60
     for lp in built:
         assert solve(lp) == dense_solve(lp)
         assert feasible(lp) == dense_feasible(lp)
