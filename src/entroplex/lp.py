@@ -4,14 +4,18 @@ Two-phase simplex with Bland's rule, which is always on: the programs built
 elsewhere in this package are highly degenerate and cycling must be
 impossible rather than unlikely. Tableau rows are sparse and fraction-free
 (Bareiss style): integer numerators of the nonzero columns over one positive
-denominator per row, in lowest terms. A program keeps int coefficients as
-int and makes every other number an exact Fraction, so an all-integer row
-reaches the tableau without a Fraction round trip. Results cross the API
-boundary as Fraction. An optimum comes with its point and the dual value of
-every row, read off the final reduced costs (no second solve): for a
-minimization, duals are >= 0 on `>=` rows and <= 0 on `<=` rows,
-c - A^T y >= 0, and sum(rhs * y) is the optimal value; maximizing flips
-each sign.
+denominator per row, in lowest terms. Each pivot scans the rows once for the
+entering column: the ratio test reads the rows that hold it, and the pivot
+eliminates exactly those rows. One elimination routine serves the rows and
+the reduced costs; it skips the gcd when the pivot row's denominator is 1
+and the reduction to lowest terms when the target row's is. A program keeps
+int coefficients as int and makes every other number an exact Fraction, so
+an all-integer row reaches the tableau without a Fraction round trip.
+Results cross the API boundary as Fraction. An optimum comes with its point
+and the dual value of every row, read off the final reduced costs (no second
+solve): for a minimization, duals are >= 0 on `>=` rows and <= 0 on `<=`
+rows, c - A^T y >= 0, and sum(rhs * y) is the optimal value; maximizing
+flips each sign.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ MAXIMIZE = "max"
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+_ZERO = Fraction(0)  # every zero entry of a result
 
 
 def _exact(value: Rat) -> Rat:
@@ -86,24 +92,28 @@ def _lowest_terms(nums: dict[int, int], den: int) -> int:
     return den
 
 
-def _eliminate(nums: dict[int, int], den: int, c: int, piv: dict[int, int]) -> int:
-    """Subtract the multiple of the pivot row (value 1 at c, so piv[c] is its
-    denominator) that zeroes column c, in place; return the new denominator."""
-    p = piv[c]
-    g = math.gcd(nums[c], p)
-    f = nums[c] // g
-    scale = p // g
-    if scale != 1:
-        for j in nums:
-            nums[j] *= scale
-        den *= scale
-    for j, v in piv.items():
+def _eliminate(
+    nums: dict[int, int], den: int, c: int, pivot: tuple[tuple[int, int], ...], p: int,
+) -> int:
+    """Subtract the multiple of the pivot row (items `pivot`, value 1 at c, so
+    its entry p there is its denominator) that zeroes column c, in place;
+    return the new denominator."""
+    f = nums[c]
+    if p != 1:
+        g = math.gcd(f, p)
+        f //= g
+        scale = p // g
+        if scale != 1:
+            for j in nums:
+                nums[j] *= scale
+            den *= scale
+    for j, v in pivot:
         w = nums.get(j, 0) - f * v
         if w:
             nums[j] = w
         else:
             del nums[j]
-    return _lowest_terms(nums, den)
+    return den if den == 1 else _lowest_terms(nums, den)
 
 
 class _Tableau:
@@ -171,21 +181,23 @@ class _Tableau:
         red, den = _integer_row(cost)
         for i, b in enumerate(self.basis):
             if b in red:  # a basic row is 1 at its column, 0 at other basics
-                den = _eliminate(red, den, b, self.rows[i])
+                row = self.rows[i]
+                den = _eliminate(red, den, b, tuple(row.items()), row[b])
         self.red, self.red_den = red, den
 
-    def _pivot(self, r: int, c: int) -> None:
+    def _pivot(self, r: int, c: int, holders: list[int]) -> None:
+        """Pivot on row r at its positive entry in column c; holders lists
+        every row that holds c."""
         self.pivots += 1
-        row = self.rows[r]
-        if row[c] < 0:
-            for j in row:
-                row[j] = -row[j]
-        self.dens[r] = _lowest_terms(row, row[c])  # the pivot entry becomes 1
-        for i, other in enumerate(self.rows):
-            if i != r and c in other:
-                self.dens[i] = _eliminate(other, self.dens[i], c, row)
+        rows, dens = self.rows, self.dens
+        row = rows[r]
+        p = dens[r] = _lowest_terms(row, row[c])  # the pivot entry becomes 1
+        pivot = tuple(row.items())
+        for i in holders:
+            if i != r:
+                dens[i] = _eliminate(rows[i], dens[i], c, pivot, p)
         if c in self.red:
-            self.red_den = _eliminate(self.red, self.red_den, c, row)
+            self.red_den = _eliminate(self.red, self.red_den, c, pivot, p)
         self.basis[r] = c
 
     def _iterate(self) -> str:
@@ -197,6 +209,7 @@ class _Tableau:
         ncols = self.ncols
         allowed = self.allowed
         basis = self.basis
+        rows = self.rows
         while True:
             enter = min(
                 (j for j, v in self.red.items() if v < 0 and j < ncols and allowed[j]),
@@ -204,10 +217,12 @@ class _Tableau:
             )
             if enter < 0:
                 return OPTIMAL
+            holders = [i for i, row in enumerate(rows) if enter in row]
             leave = -1
             best_b = best_a = 0
-            for i, row in enumerate(self.rows):
-                a = row.get(enter, 0)
+            for i in holders:
+                row = rows[i]
+                a = row[enter]
                 if a > 0:
                     b = row.get(ncols, 0)
                     if leave >= 0:
@@ -217,7 +232,7 @@ class _Tableau:
                     leave, best_b, best_a = i, b, a
             if leave < 0:
                 return UNBOUNDED
-            self._pivot(leave, enter)
+            self._pivot(leave, enter, holders)
 
     def solve_two_phase(self) -> str:
         ncols = self.ncols
@@ -239,13 +254,17 @@ class _Tableau:
 
     def extract_duals(self) -> tuple[Fraction, ...]:
         red, den = self.red, self.red_den
-        return tuple(Fraction(f * red.get(c, 0), den) for c, f in self.dual_cols)
+        return tuple(
+            Fraction(f * red[c], den) if c in red else _ZERO for c, f in self.dual_cols
+        )
 
     def extract_point(self) -> list[Fraction]:
-        values = [Fraction(0)] * self.n_orig
+        values = [_ZERO] * self.n_orig
         for i, b in enumerate(self.basis):
             if b < self.n_orig:
-                values[b] = Fraction(self.rows[i].get(self.ncols, 0), self.dens[i])
+                rhs = self.rows[i].get(self.ncols)
+                if rhs:
+                    values[b] = Fraction(rhs, self.dens[i])
         return values
 
 

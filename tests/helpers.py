@@ -30,6 +30,7 @@ from entroplex import (
     is_monotone,
     make_expr,
     multi_mutual_info,
+    parse_constraints,
     step_function,
     universe,
 )
@@ -613,6 +614,19 @@ def rand_lp(rng: random.Random) -> LinearProgram:
         }
         lp.add_row(coeffs, rng.choice([">=", "<=", "="]), Fraction(rng.randint(-6, 6)))
     return lp
+
+
+def cyclic_system(rng, n):
+    """R_i(V_i, V_i+1, V_i+2) around a cycle, each with a cardinality and a
+    degree constraint: cyclic and not simple."""
+    names = [f"V{i}" for i in range(n)]
+    atoms = [(names[i], names[(i + 1) % n], names[(i + 2) % n]) for i in range(n)]
+    lines = ["query Q(%s) = %s" % (",".join(names), ", ".join(
+        f"R{i}({','.join(a)})" for i, a in enumerate(atoms)))]
+    for i, (a, b, c) in enumerate(atoms):
+        lines.append(f"card R{i} <= {2 ** rng.randint(2, 5)}")
+        lines.append(f"logdeg R{i} ({c} | {a},{b}) <= {rng.randint(0, 2)}")
+    return parse_constraints("\n".join(lines))
 
 
 def rand_sigma(

@@ -41,6 +41,7 @@ from entroplex import (
 )
 from entroplex.lp import INFEASIBLE, OPTIMAL
 from helpers import (
+    cyclic_system,
     dense_solve,
     modular_bound_brute,
     polymatroid_bound_dual_program,
@@ -327,19 +328,6 @@ def test_polymatroid_beats_or_equals_step():
         step = logbound_step(query, sigma)
         poly = logbound_polymatroid_dual(query, sigma)
         assert poly.value <= step.value
-
-
-def cyclic_system(rng, n):
-    """R_i(V_i, V_i+1, V_i+2) around a cycle, each with a cardinality and a
-    degree constraint: cyclic and not simple."""
-    names = [f"V{i}" for i in range(n)]
-    atoms = [(names[i], names[(i + 1) % n], names[(i + 2) % n]) for i in range(n)]
-    lines = ["query Q(%s) = %s" % (",".join(names), ", ".join(
-        f"R{i}({','.join(a)})" for i, a in enumerate(atoms)))]
-    for i, (a, b, c) in enumerate(atoms):
-        lines.append(f"card R{i} <= {2 ** rng.randint(2, 5)}")
-        lines.append(f"logdeg R{i} ({c} | {a},{b}) <= {rng.randint(0, 2)}")
-    return parse_constraints("\n".join(lines))
 
 
 def test_polymatroid_bound_one_lp_matches_dual_program(monkeypatch):

@@ -30,6 +30,7 @@ from entroplex.lp import (
 from entroplex.functions import _elemental_rows
 from helpers import (
     cone_memo_answers,
+    cyclic_system,
     dense_feasible,
     dense_solve,
     rand_expr,
@@ -185,7 +186,7 @@ def programs(draw, entries=_RATS):
             st.sampled_from([">=", "<=", "="]),
             entries,
         ),
-        min_size=1, max_size=6,
+        min_size=1, max_size=10,
     ))
     objective = draw(st.dictionaries(cols, entries, max_size=n))
     return _lp(n, draw(st.sampled_from([MINIMIZE, MAXIMIZE])), objective, rows)
@@ -284,20 +285,24 @@ def test_cone_rows_memo_leaks_no_state():
         assert fresh.stdout == here + "\n"
 
 
+def _record_package_programs(monkeypatch) -> list[LinearProgram]:
+    """Every LP that validity and bounds solve from now on, in order."""
+    built = []
+
+    def recording(lp):
+        built.append(lp)
+        return lp_mod.solve(lp)
+
+    monkeypatch.setattr(validity_mod, "solve", recording)
+    monkeypatch.setattr(bounds_mod, "solve", recording)
+    return built
+
+
 def test_package_programs_match_dense_tableau(monkeypatch):
     """Every LP that the cone step of check_polymatroid (n=4) and the four
     bound methods build: same status, value, point, pivot count and duals as
     the dense tableau."""
-    built = []
-
-    def recording(real):
-        def run(lp):
-            built.append(lp)
-            return real(lp)
-        return run
-
-    monkeypatch.setattr(validity_mod, "solve", recording(lp_mod.solve))
-    monkeypatch.setattr(bounds_mod, "solve", recording(lp_mod.solve))
+    built = _record_package_programs(monkeypatch)
     rng = random.Random(20261018)
     uni = universe("A", "B", "C", "D")
     for _ in range(12):
@@ -319,3 +324,22 @@ def test_package_programs_match_dense_tableau(monkeypatch):
     for lp in built:
         assert solve(lp) == dense_solve(lp)
         assert feasible(lp) == dense_feasible(lp)
+
+
+def test_cone_lp_tail_programs_match_dense_tableau(monkeypatch):
+    """The n=5 programs that make up the cone-lp latency tail, 20 cyclic
+    polymatroid bounds of 95 rows x 31 columns and 4 cone checks: every
+    LPResult field equals the dense tableau's."""
+    built = _record_package_programs(monkeypatch)
+    rng = random.Random(20261019)
+    for _ in range(20):
+        bounds_mod.logbound_polymatroid_dual(*cyclic_system(rng, 5))
+    uni = universe("A", "B", "C", "D", "E")
+    for _ in range(4):
+        validity_mod._cone_lp(rand_expr(rng, uni))
+    assert len(built) == 24
+    assert {lp.shape for lp in built[:20]} == {(95, 31)}
+    for lp in built:
+        res = solve(lp)
+        assert res.pivots > 0
+        assert res == dense_solve(lp)
