@@ -2,6 +2,8 @@
 
 Subsets of the universe are plain int bitmasks (bit i = i-th universe name).
 All coefficient arithmetic is exact rational; floats never enter a verdict.
+An expression stores a whole-number coefficient as an int and any other as
+its exact Fraction, so integer forms are summed as plain ints.
 """
 
 from __future__ import annotations
@@ -130,12 +132,13 @@ def universe(*names: str) -> Universe:
 class Expr:
     """Sparse linear form sum(c_S * h(S)) >= 0 over nonempty subsets.
 
-    terms maps subset mask -> nonzero Fraction. Treated as immutable; all
-    operations return fresh expressions.
+    terms maps subset mask -> nonzero coefficient: an int when it is a whole
+    number and otherwise a Fraction, as `make_expr` stores it; never a float.
+    Treated as immutable; all operations return fresh expressions.
     """
 
     universe: Universe
-    terms: Mapping[int, Fraction]
+    terms: Mapping[int, Rat]
 
     def __post_init__(self) -> None:
         for mask, coeff in self.terms.items():
@@ -149,10 +152,10 @@ class Expr:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def coefficient(self, mask: int) -> Fraction:
-        return self.terms.get(mask, Fraction(0))
+    def coefficient(self, mask: int) -> Rat:
+        return self.terms.get(mask, 0)
 
-    def two_sided(self) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+    def two_sided(self) -> tuple[dict[int, Rat], dict[int, Rat]]:
         """Split into (LHS, RHS) maps, both with positive coefficients."""
         lhs = {m: c for m, c in self.terms.items() if c > 0}
         rhs = {m: -c for m, c in self.terms.items() if c < 0}
@@ -166,11 +169,18 @@ class Expr:
 
 
 def make_expr(uni: Universe, terms: Mapping[int, Rat]) -> Expr:
+    """The expression of the nonzero terms off the empty set, each
+    coefficient an int when it is a whole number and otherwise its exact
+    Fraction."""
     cleaned = {}
     for mask, coeff in terms.items():
-        c = Fraction(coeff)
-        if mask != 0 and c != 0:
-            cleaned[mask] = c
+        if type(coeff) is not int:
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
+            if coeff.denominator == 1:
+                coeff = coeff.numerator
+        if mask != 0 and coeff != 0:
+            cleaned[mask] = coeff
     return Expr(uni, cleaned)
 
 

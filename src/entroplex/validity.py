@@ -19,6 +19,7 @@ from .core import (
     CapExceeded,
     DomainError,
     Expr,
+    Rat,
     Universe,
     UnsupportedSemantics,
     evaluate,
@@ -84,13 +85,13 @@ class Decomposition:
     """Positive combination of monotonicity and non-negativity axioms."""
 
     universe: Universe
-    parts: tuple[tuple[Fraction, Axiom], ...]
+    parts: tuple[tuple[Rat, Axiom], ...]
 
     def recombine(self) -> Expr:
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, Rat] = {}
         for weight, axiom in self.parts:
             for mask, c in axiom.as_expr_terms().items():
-                acc[mask] = acc.get(mask, Fraction(0)) + weight * c
+                acc[mask] = acc.get(mask, 0) + weight * c
         return make_expr(self.universe, acc)
 
     def is_separable(self) -> bool:
@@ -127,9 +128,7 @@ def check_modular(expr: Expr) -> Verdict:
     uni = expr.universe
     for i, name in enumerate(uni.names):
         bit = 1 << i
-        value = sum(
-            (c for mask, c in expr.terms.items() if mask & bit), Fraction(0)
-        )
+        value = sum(c for mask, c in expr.terms.items() if mask & bit)
         if value < 0:
             witness = Witness(
                 "basic_modular", basic_modular(uni, name), step_set=bit,
@@ -337,7 +336,7 @@ def check_monotone_fixpoint(expr: Expr) -> Verdict:
     neg = sorted(demand)
     forward = {x: [y for y in neg if y & ~x == 0] for x in pos}
     into = {y: [x for x in pos if y & ~x == 0] for y in neg}
-    flow: dict[tuple[int, int], Fraction] = {}
+    flow: dict[tuple[int, int], Rat] = {}
     iterations = 0
 
     def shortest_path() -> Optional[list[int]]:
@@ -385,7 +384,7 @@ def check_monotone_fixpoint(expr: Expr) -> Verdict:
 
     if not any(demand.values()):
         # Axioms listed by the set they cover, then by the set covering it.
-        parts: list[tuple[Fraction, Axiom]] = [
+        parts: list[tuple[Rat, Axiom]] = [
             (flow[x, y], Axiom("mono", x, y))
             for y, x in sorted((y, x) for x, y in flow)
             if flow[x, y]
@@ -495,11 +494,12 @@ def check_polymatroid(expr: Expr) -> Verdict:
 
 @dataclass(frozen=True)
 class AReduction:
-    """Coefficient sums for one variable plus the reduced inequality."""
+    """Coefficient sums for one variable plus the reduced inequality; like
+    a coefficient, each sum is an int when the terms it adds are ints."""
 
     variable: str
-    c: Fraction
-    d: Fraction
+    c: Rat
+    d: Rat
     reduced: Expr
 
 
@@ -520,9 +520,8 @@ def a_reduction(expr: Expr, name: str) -> AReduction:
     i = uni.index(name)
     bit = 1 << i
     red_uni = Universe(uni.names[:i] + uni.names[i + 1:])
-    c = Fraction(0)
-    d = Fraction(0)
-    acc: dict[int, Fraction] = {}
+    c = d = 0
+    acc: dict[int, Rat] = {}
     for mask, coeff in expr.terms.items():
         if mask & bit:
             if coeff > 0:
@@ -531,10 +530,10 @@ def a_reduction(expr: Expr, name: str) -> AReduction:
                 d -= coeff
         else:
             red_mask = _reduced_mask(mask, i)
-            acc[red_mask] = acc.get(red_mask, Fraction(0)) + coeff
+            acc[red_mask] = acc.get(red_mask, 0) + coeff
     if red_uni.n:
         full = red_uni.full_mask
-        acc[full] = acc.get(full, Fraction(0)) + (c - d)
+        acc[full] = acc.get(full, 0) + (c - d)
     return AReduction(name, c, d, make_expr(red_uni, acc))
 
 

@@ -48,7 +48,7 @@ from entroplex import (
     universe,
 )
 import entroplex.validity as validity
-from entroplex.core import set_representation
+from entroplex.core import Expr, set_representation
 from entroplex.validity import (
     DECIDABLE,
     SIMPLE_CLASSES,
@@ -660,6 +660,70 @@ def chain_exprs(draw):
 @example(parse_inequality("2*h(A,B,C,D) >= h(A,B) + h(C,D)"))  # monotone-Valid
 def test_chain_matches_standalone_checkers(expr):
     assert_chain_matches_standalone(expr, check_per_class(expr))
+
+
+# Coefficients as ints, as proper Fractions and as whole Fractions such as
+# Fraction(4, 2), which make_expr must store as the int 2.
+_MIXED_COEFFS = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+    st.builds(Fraction, st.integers(-8, 8), st.sampled_from((1, 2))),
+)
+
+
+@st.composite
+def mixed_terms(draw):
+    """(universe, raw terms) on n <= 4 variables, in simple form about half
+    the time so that `check` takes the a-reduction and max-flow pipeline."""
+    n = draw(st.integers(1, 4))
+    uni = universe(*[f"V{i}" for i in range(n)])
+    terms = draw(st.dictionaries(
+        st.integers(0, uni.full_mask), _MIXED_COEFFS, max_size=10,
+    ))
+    if draw(st.booleans()):
+        full = uni.full_mask
+        terms = {
+            m: c if m == full or m & (m - 1) == 0 else abs(c)
+            for m, c in terms.items()
+        }
+    return uni, terms
+
+
+@given(mixed_terms())
+@settings(max_examples=200, deadline=None)
+@example((U3, {3: Fraction(4, 2), 5: 1, 1: Fraction(-1), 7: Fraction(-3, 3)}))
+@example((U3, {3: 1, 6: 1, 5: 2, 1: 1, 2: -1, 4: -3}))  # WORKED
+@example((U3, {3: Fraction(1, 2), 5: Fraction(3, 2), 1: -1, 7: -1}))
+def test_int_coefficients_match_fraction_coefficients(case):
+    """make_expr's ints against the all-Fraction form of the same input:
+    every decider returns equal verdicts, witnesses, certificates and
+    iteration counts, and equal a-reductions."""
+    uni, terms = case
+    fast = make_expr(uni, terms)
+    for mask, c in terms.items():
+        if not mask or not c:
+            assert mask not in fast.terms
+            continue
+        stored = fast.terms[mask]
+        assert stored == Fraction(c)
+        assert type(stored) is (int if Fraction(c).denominator == 1 else Fraction)
+        if type(stored) is Fraction:
+            assert stored is c  # a proper Fraction is kept, not rebuilt
+    slow = Expr(uni, {m: Fraction(c) for m, c in fast.terms.items()})
+    assert fast == slow
+    for decide in (check_modular, check_step, check_monotone_fixpoint, check):
+        assert decide(fast) == decide(slow), decide.__name__
+    if all(type(c) is int for c in fast.terms.values()):
+        mono = check_monotone_fixpoint(fast)
+        parts = mono.certificate.parts if mono.valid else ()
+        assert all(type(weight) is int for weight, _ in parts)
+    for name in uni.names:
+        red = a_reduction(fast, name)
+        assert red == a_reduction(slow, name)
+        assert all(
+            type(c) is int or c.denominator != 1
+            for c in red.reduced.terms.values()
+        )
 
 
 def test_chain_runs_lp_only_when_needed(monkeypatch):
