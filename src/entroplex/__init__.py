@@ -33,14 +33,17 @@ _EXPORTS = {
     "functions": (
         "EntropyVector",
         "JointDistribution",
+        "Relation",
         "SetFunction",
         "basic_modular",
+        "degree_scan",
         "distribution_from_csv",
         "entropic_from_distribution",
         "from_values",
         "is_modular",
         "is_monotone",
         "is_polymatroid",
+        "relation_from_csv",
         "step_function",
         "zero_function",
     ),
@@ -50,10 +53,8 @@ _EXPORTS = {
         "GuardedEntry",
         "GuardedSigma",
         "Query",
-        "Relation",
         "build_sigma",
         "conditional",
-        "degree_scan",
         "is_acyclic",
         "is_simple",
         "logbound_modular",
@@ -61,7 +62,6 @@ _EXPORTS = {
         "logbound_simple_entropic",
         "logbound_step",
         "parse_constraints",
-        "relation_from_csv",
         "satisfies_degrees",
         "sigma_inequality",
     ),

@@ -13,20 +13,22 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .core import (
     CapExceeded,
     DomainError,
     Expr,
     Universe,
-    _csv_rows,
+    _Record,
+    _set_field,
+    _split_names,
     make_expr,
     parse_fraction,
     self_check,
 )
+from .functions import Relation, degree_scan
 from .lp import (
     INFEASIBLE,
     LinearProgram,
@@ -46,18 +48,21 @@ from .validity import (
 )
 
 
-@dataclass(frozen=True)
-class Conditional:
+class Conditional(_Record):
     """Degree term (V|U): target and condition masks, disjoint, V nonempty."""
 
-    target: int
-    condition: int
+    __slots__ = ("target", "condition")
 
-    def __post_init__(self) -> None:
-        if not self.target:
+    def __init__(self, target: int, condition: int) -> None:
+        if not target:
             raise DomainError("conditional needs a nonempty target")
-        if self.target & self.condition:
+        if target & condition:
             raise DomainError("conditional target overlaps its condition")
+        _set_field(self, "target", target)
+        _set_field(self, "condition", condition)
+
+    def _key(self) -> tuple:
+        return (self.target, self.condition)
 
     @property
     def joint(self) -> int:
@@ -69,22 +74,25 @@ def conditional(target: int, condition: int = 0) -> Conditional:
     return Conditional(target & ~condition, condition)
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(_Record):
     """Self-join-free conjunctive query; the head is all variables."""
 
-    universe: Universe
-    atoms: tuple[tuple[str, int], ...]
+    __slots__ = ("universe", "atoms")
 
-    def __post_init__(self) -> None:
-        names = [name for name, _ in self.atoms]
+    def __init__(self, universe: Universe, atoms: tuple[tuple[str, int], ...]) -> None:
+        names = [name for name, _ in atoms]
         if len(set(names)) != len(names):
             raise DomainError("relation names must be distinct")
         covered = 0
-        for _, schema in self.atoms:
+        for _, schema in atoms:
             covered |= schema
-        if covered != self.universe.full_mask:
+        if covered != universe.full_mask:
             raise DomainError("atom schemas must cover every head variable")
+        _set_field(self, "universe", universe)
+        _set_field(self, "atoms", atoms)
+
+    def _key(self) -> tuple:
+        return (self.universe, self.atoms)
 
     def atom_index(self, name: str) -> int:
         for i, (atom_name, _) in enumerate(self.atoms):
@@ -93,19 +101,24 @@ class Query:
         raise DomainError(f"no atom named {name!r}")
 
 
-@dataclass(frozen=True)
-class GuardedEntry:
-    sigma: Conditional
-    guard: int  # index into the query's atoms
-    log_degree: Fraction
+class GuardedEntry(_Record):
+    """One constraint: a conditional, the index of its guard among the
+    query's atoms, and its log-degree bound."""
 
-    def __post_init__(self) -> None:
-        if self.log_degree < 0:
+    __slots__ = ("sigma", "guard", "log_degree")
+
+    def __init__(self, sigma: Conditional, guard: int, log_degree: Fraction) -> None:
+        if log_degree < 0:
             raise DomainError("log-degree must be non-negative")
+        _set_field(self, "sigma", sigma)
+        _set_field(self, "guard", guard)
+        _set_field(self, "log_degree", log_degree)
+
+    def _key(self) -> tuple:
+        return (self.sigma, self.guard, self.log_degree)
 
 
-@dataclass(frozen=True)
-class GuardedSigma:
+class GuardedSigma(NamedTuple):
     universe: Universe
     entries: tuple[GuardedEntry, ...]
 
@@ -141,8 +154,7 @@ def build_sigma(
     return GuardedSigma(query.universe, tuple(entries))
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     value: Union[Fraction, float]  # Fraction, or math.inf
     method: str
     weights: Optional[tuple[Fraction, ...]] = None
@@ -341,49 +353,6 @@ def logbound_simple_entropic(query: Query, sigma: GuardedSigma) -> BoundResult:
     return _covering_bound(sigma, "simple-entropic", check_simple_sigma)
 
 
-@dataclass(frozen=True)
-class Relation:
-    name: str
-    schema: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.schema)) != len(self.schema):
-            raise DomainError("relation schema repeats a variable")
-        for row in self.rows:
-            if len(row) != len(self.schema):
-                raise DomainError("row width differs from schema width")
-
-
-def relation_from_csv(name: str, text: str) -> Relation:
-    rows = _csv_rows(text)
-    if not rows:
-        raise DomainError("empty relation file")
-    return Relation(name, tuple(rows[0]), tuple(tuple(row) for row in rows[1:]))
-
-
-def degree_scan(
-    relation: Relation,
-    target: Sequence[str],
-    condition: Sequence[str] = (),
-) -> int:
-    """Maximum number of distinct target projections per condition value."""
-    condition = tuple(condition)
-    target = tuple(v for v in target if v not in condition)
-    if not target:
-        raise DomainError("degree target is empty after normalization")
-    for v in (*target, *condition):
-        if v not in relation.schema:
-            raise DomainError(f"{v!r} is not in the schema of {relation.name}")
-    t_idx = [relation.schema.index(v) for v in target]
-    c_idx = [relation.schema.index(v) for v in condition]
-    groups: dict[tuple[str, ...], set[tuple[str, ...]]] = {}
-    for row in relation.rows:
-        key = tuple(row[i] for i in c_idx)
-        groups.setdefault(key, set()).add(tuple(row[i] for i in t_idx))
-    return max((len(vals) for vals in groups.values()), default=0)
-
-
 def satisfies_degrees(
     data: Mapping[str, Relation], query: Query, sigma: GuardedSigma
 ) -> bool:
@@ -412,10 +381,6 @@ _LOGDEG_RE = re.compile(
     r"^logdeg\s+(?:(\w+)\s+)?\(([^|)]*)(?:\|([^)]*))?\)\s*<=\s*(\S+)$"
 )
 _CARD_RE = re.compile(r"^card\s+(\w+)\s*<=\s*(?:2\s*\^\s*(\d+)|(\d+))$")
-
-
-def _split_names(text: str) -> list[str]:
-    return [v.strip() for v in text.split(",") if v.strip()]
 
 
 def parse_constraints(text: str) -> tuple[Query, GuardedSigma]:

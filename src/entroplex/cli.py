@@ -4,7 +4,8 @@ Exit codes: 0 for a Valid verdict (and any successful non-check command),
 1 for Invalid, 2 for errors, unsupported requests, and bad input.
 
 Each subcommand imports the modules it uses when it runs, so a call loads
-only those: ``reduce`` never loads the checkers, ``check`` never the bounds.
+only those: ``reduce`` and ``degscan`` never load the checkers, ``check``
+never the bounds.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .core import (
     DslError,
     UnsupportedSemantics,
     _csv_rows,
+    _split_names,
     evaluate,
     parse_fraction,
 )
@@ -258,7 +260,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_degscan(args: argparse.Namespace) -> int:
-    from .bounds import _split_names, degree_scan, relation_from_csv
+    from .functions import degree_scan, relation_from_csv
 
     relation = relation_from_csv(Path(args.csv).stem, _read(args.csv))
     v_text, _, u_text = args.conditional.partition("|")

@@ -9,9 +9,8 @@ its exact Fraction, so integer forms are summed as plain ints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 Rat = Union[Fraction, int]
 
@@ -65,6 +64,11 @@ def _csv_rows(text: str) -> list[list[str]]:
     return [row for row in rows if any(row)]
 
 
+def _split_names(text: str) -> list[str]:
+    """The nonempty comma-separated names of a list such as `A, B`."""
+    return [v.strip() for v in text.split(",") if v.strip()]
+
+
 def _is_identifier(name: str) -> bool:
     if not name:
         return False
@@ -74,22 +78,67 @@ def _is_identifier(name: str) -> bool:
     return all(c.isalnum() or c == "_" for c in tail)
 
 
-@dataclass(frozen=True)
-class Universe:
+_set_field = object.__setattr__
+
+
+class _Record:
+    """Base of the immutable slotted types: __init__ checks its input, if
+    any check applies, and sets every slot once through `_set_field`; any
+    later assignment raises AttributeError. Each type's `_key` gives its
+    fields, the constructor's arguments in order: equality needs the same
+    class and compares them, the hash is that of their tuple, repr names
+    each, and a copy or pickle calls the constructor with them again."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        names = [name for name in self.__slots__ if name[0] != "_"]
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(names, self._key()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Universe(_Record):
     """An ordered tuple of distinct variable names."""
 
-    names: tuple[str, ...]
-    _index: Mapping[str, int] = field(init=False, repr=False, compare=False, hash=False)
+    __slots__ = ("names", "_index")  # the index is derived from the names
 
-    def __post_init__(self) -> None:
+    def __init__(self, names: tuple[str, ...]) -> None:
         seen: dict[str, int] = {}
-        for i, name in enumerate(self.names):
+        for i, name in enumerate(names):
             if not _is_identifier(name):
                 raise DomainError(f"invalid variable name {name!r}")
             if name in seen:
                 raise DomainError(f"duplicate variable name {name!r}")
             seen[name] = i
-        object.__setattr__(self, "_index", seen)
+        _set_field(self, "names", names)
+        _set_field(self, "_index", seen)
+
+    def _key(self) -> tuple:
+        return (self.names,)
+
+    def __eq__(self, other):  # direct, since every combine() compares universes
+        if other.__class__ is Universe:
+            return self.names == other.names
+        return NotImplemented
+
+    __hash__ = _Record.__hash__
 
     @property
     def n(self) -> int:
@@ -128,26 +177,35 @@ def universe(*names: str) -> Universe:
     return Universe(tuple(names))
 
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(_Record):
     """Sparse linear form sum(c_S * h(S)) >= 0 over nonempty subsets.
 
     terms maps subset mask -> nonzero coefficient: an int when it is a whole
-    number and otherwise a Fraction, as `make_expr` stores it; never a float.
+    number and otherwise a Fraction, as `make_expr` stores it; any other
+    type, a float or a bool included, raises DomainError.
     Treated as immutable; all operations return fresh expressions.
     """
 
-    universe: Universe
-    terms: Mapping[int, Rat]
+    __slots__ = ("universe", "terms")
 
-    def __post_init__(self) -> None:
-        for mask, coeff in self.terms.items():
+    def __init__(self, universe: Universe, terms: Mapping[int, Rat]) -> None:
+        full = universe.full_mask
+        for mask, coeff in terms.items():
+            if type(coeff) is not int and type(coeff) is not Fraction:
+                raise DomainError(
+                    f"coefficient {coeff!r} is neither an int nor a Fraction"
+                )
             if mask == 0:
                 raise DomainError("h({}) terms must be eliminated at construction")
-            if mask < 0 or mask > self.universe.full_mask:
+            if mask < 0 or mask > full:
                 raise DomainError(f"term mask {mask} outside universe")
             if coeff == 0:
                 raise DomainError("zero coefficients must be dropped")
+        _set_field(self, "universe", universe)
+        _set_field(self, "terms", terms)
+
+    def _key(self) -> tuple:
+        return (self.universe, self.terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -201,8 +259,7 @@ def combine(uni: Universe, parts: Iterable[tuple[Rat, Expr]]) -> Expr:
 # Information measures. Each is expanded into plain h-terms on construction;
 # empty operands contribute nothing since h({}) = 0.
 
-@dataclass(frozen=True)
-class Measure:
+class Measure(NamedTuple):
     """One of the standard Shannon measures, by kind and operand masks."""
 
     kind: str  # 'h' | 'cond_h' | 'mi' | 'cmi' | 'multi'

@@ -11,9 +11,8 @@ expression.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     DslError,
@@ -30,8 +29,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'ident' | 'int' | symbol text
     text: str
     line: int
@@ -59,8 +57,7 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-@dataclass(frozen=True)
-class ParsedProgram:
+class ParsedProgram(NamedTuple):
     """One inequality, with its universe declared or inferred."""
 
     universe: Universe

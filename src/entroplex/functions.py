@@ -1,4 +1,5 @@
-"""Set functions: steps, modular functions, entropic vectors, classifiers.
+"""Set functions: steps, modular functions, entropic vectors, classifiers,
+and the relations whose degrees the bounds' data-side checks scan.
 
 The exact side works in Fractions; entropies computed from a distribution are
 the single floating-point surface and live in their own type.
@@ -8,33 +9,44 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .core import DomainError, Expr, Rat, Universe, _csv_rows, parse_fraction
+from .core import (
+    DomainError,
+    Expr,
+    Rat,
+    Universe,
+    _csv_rows,
+    _Record,
+    _set_field,
+    parse_fraction,
+)
 
 
-@dataclass(frozen=True)
-class SetFunction:
+class SetFunction(_Record):
     """2^n exact values with value({}) = 0, indexed by mask.
 
     The values are a tuple, or an UpSetValues that computes them on demand
     and equals only an UpSetValues with the same generators.
     """
 
-    universe: Universe
-    values: Sequence[Fraction]
+    __slots__ = ("universe", "values")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.values, UpSetValues):
-            size_ok = self.values.n == self.universe.n
+    def __init__(self, universe: Universe, values: Sequence[Fraction]) -> None:
+        if isinstance(values, UpSetValues):
+            size_ok = values.n == universe.n
         else:
-            size_ok = len(self.values) == 1 << self.universe.n
+            size_ok = len(values) == 1 << universe.n
         if not size_ok:
             raise DomainError("value vector length must be 2^n")
-        if self.values[0] != 0:
+        if values[0] != 0:
             raise DomainError("a set function must vanish on the empty set")
+        _set_field(self, "universe", universe)
+        _set_field(self, "values", values)
+
+    def _key(self) -> tuple:
+        return (self.universe, self.values)
 
     def __getitem__(self, mask: int) -> Fraction:
         return self.values[mask]
@@ -50,8 +62,7 @@ class SetFunction:
 _ONE, _ZERO = Fraction(1), Fraction(0)
 
 
-@dataclass(frozen=True)
-class UpSetValues(Sequence):
+class UpSetValues(_Record, Sequence):
     """The 2^n values of a monotone 0/1 function, computed on demand: 1 on
     the masks that contain one of its generators, 0 elsewhere.
 
@@ -63,9 +74,15 @@ class UpSetValues(Sequence):
     variables, where 2^n fits a Py_ssize_t.
     """
 
-    n: int
-    singles: int
-    larger: tuple[int, ...] = ()
+    __slots__ = ("n", "singles", "larger")
+
+    def __init__(self, n: int, singles: int, larger: tuple[int, ...] = ()) -> None:
+        _set_field(self, "n", n)
+        _set_field(self, "singles", singles)
+        _set_field(self, "larger", larger)
+
+    def _key(self) -> tuple:
+        return (self.n, self.singles, self.larger)
 
     def __len__(self) -> int:
         return 1 << self.n
@@ -170,18 +187,18 @@ def is_modular(fn: SetFunction) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(_Record):
     """Finite joint distribution: distinct value rows with positive weights."""
 
-    universe: Universe
-    rows: tuple[tuple[tuple[str, ...], Fraction], ...]
+    __slots__ = ("universe", "rows")
 
-    def __post_init__(self) -> None:
-        width = self.universe.n
+    def __init__(
+        self, universe: Universe, rows: tuple[tuple[tuple[str, ...], Fraction], ...],
+    ) -> None:
+        width = universe.n
         seen = set()
         total = Fraction(0)
-        for values, p in self.rows:
+        for values, p in rows:
             if len(values) != width:
                 raise DomainError("row width does not match the schema")
             if values in seen:
@@ -192,15 +209,25 @@ class JointDistribution:
             total += p
         if total != 1:
             raise DomainError(f"probabilities sum to {total}, expected 1")
+        _set_field(self, "universe", universe)
+        _set_field(self, "rows", rows)
+
+    def _key(self) -> tuple:
+        return (self.universe, self.rows)
 
 
-@dataclass(frozen=True)
-class EntropyVector:
+class EntropyVector(_Record):
     """Marginal entropies in bits, one float per subset. Display and
     tolerance checks only; never feeds an exact verdict."""
 
-    universe: Universe
-    values: tuple[float, ...]
+    __slots__ = ("universe", "values")
+
+    def __init__(self, universe: Universe, values: tuple[float, ...]) -> None:
+        _set_field(self, "universe", universe)
+        _set_field(self, "values", values)
+
+    def _key(self) -> tuple:
+        return (self.universe, self.values)
 
     def __getitem__(self, mask: int) -> float:
         return self.values[mask]
@@ -240,3 +267,53 @@ def distribution_from_csv(text: str) -> JointDistribution:
         p = parse_fraction(cells[-1], f"bad probability in row {','.join(cells)!r}:")
         rows.append((tuple(cells[:-1]), p))
     return JointDistribution(uni, tuple(rows))
+
+
+class Relation(_Record):
+    """A named table: a schema of distinct variables and rows of its width."""
+
+    __slots__ = ("name", "schema", "rows")
+
+    def __init__(
+        self, name: str, schema: tuple[str, ...], rows: tuple[tuple[str, ...], ...],
+    ) -> None:
+        if len(set(schema)) != len(schema):
+            raise DomainError("relation schema repeats a variable")
+        for row in rows:
+            if len(row) != len(schema):
+                raise DomainError("row width differs from schema width")
+        _set_field(self, "name", name)
+        _set_field(self, "schema", schema)
+        _set_field(self, "rows", rows)
+
+    def _key(self) -> tuple:
+        return (self.name, self.schema, self.rows)
+
+
+def relation_from_csv(name: str, text: str) -> Relation:
+    rows = _csv_rows(text)
+    if not rows:
+        raise DomainError("empty relation file")
+    return Relation(name, tuple(rows[0]), tuple(tuple(row) for row in rows[1:]))
+
+
+def degree_scan(
+    relation: Relation,
+    target: Sequence[str],
+    condition: Sequence[str] = (),
+) -> int:
+    """Maximum number of distinct target projections per condition value."""
+    condition = tuple(condition)
+    target = tuple(v for v in target if v not in condition)
+    if not target:
+        raise DomainError("degree target is empty after normalization")
+    for v in (*target, *condition):
+        if v not in relation.schema:
+            raise DomainError(f"{v!r} is not in the schema of {relation.name}")
+    t_idx = [relation.schema.index(v) for v in target]
+    c_idx = [relation.schema.index(v) for v in condition]
+    groups: dict[tuple[str, ...], set[tuple[str, ...]]] = {}
+    for row in relation.rows:
+        key = tuple(row[i] for i in c_idx)
+        groups.setdefault(key, set()).add(tuple(row[i] for i in t_idx))
+    return max((len(vals) for vals in groups.values()), default=0)

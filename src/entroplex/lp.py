@@ -21,9 +21,8 @@ flips each sign.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .core import DomainError, Rat, _integer_row, self_check
 
@@ -42,14 +41,34 @@ def _exact(value: Rat) -> Rat:
     return value if type(value) is int else Fraction(value)
 
 
-@dataclass
 class LinearProgram:
     """minimize/maximize c.x subject to rows; every variable is >= 0."""
 
-    n_vars: int
-    sense: str = MINIMIZE
-    objective: dict[int, Rat] = field(default_factory=dict)
-    rows: list[tuple[Mapping[int, Rat], str, Rat]] = field(default_factory=list)
+    __slots__ = ("n_vars", "sense", "objective", "rows")
+
+    def __init__(
+        self,
+        n_vars: int,
+        sense: str = MINIMIZE,
+        objective: Optional[dict[int, Rat]] = None,
+        rows: Optional[list[tuple[Mapping[int, Rat], str, Rat]]] = None,
+    ) -> None:
+        self.n_vars = n_vars
+        self.sense = sense
+        self.objective = {} if objective is None else objective
+        self.rows = [] if rows is None else rows
+
+    __hash__ = None  # mutable
+
+    def __eq__(self, other):
+        if other.__class__ is LinearProgram:
+            return (self.n_vars, self.sense, self.objective, self.rows) == (
+                other.n_vars, other.sense, other.objective, other.rows)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"LinearProgram(n_vars={self.n_vars!r}, sense={self.sense!r}, "
+                f"objective={self.objective!r}, rows={self.rows!r})")
 
     def set_objective(self, coeffs: Mapping[int, Rat]) -> None:
         self.objective = {j: _exact(c) for j, c in coeffs.items() if c != 0}
@@ -72,8 +91,7 @@ class LinearProgram:
         return (len(self.rows), self.n_vars)
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(NamedTuple):
     status: str
     value: Optional[Fraction] = None
     point: Optional[tuple[Fraction, ...]] = None

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .core import (
@@ -20,6 +19,8 @@ from .core import (
     Expr,
     Universe,
     _inclusion_exclusion,
+    _Record,
+    _set_field,
     make_expr,
 )
 
@@ -34,40 +35,50 @@ PARTITION_ORACLE_MAX_SUM = 60
 COLORS = ("r", "g", "b")
 
 
-@dataclass(frozen=True)
-class MonSat3Instance:
+class MonSat3Instance(_Record):
     """Monotone 3-SAT: all-positive and all-negative clauses of size 3."""
 
-    variables: tuple[str, ...]
-    positive: tuple[frozenset[str], ...]
-    negative: tuple[frozenset[str], ...]
+    __slots__ = ("variables", "positive", "negative")
 
-    def __post_init__(self) -> None:
-        if len(set(self.variables)) != len(self.variables):
+    def __init__(
+        self,
+        variables: tuple[str, ...],
+        positive: tuple[frozenset[str], ...],
+        negative: tuple[frozenset[str], ...],
+    ) -> None:
+        if len(set(variables)) != len(variables):
             raise DomainError("duplicate variable")
-        if not self.positive and not self.negative:
+        if not positive and not negative:
             raise DomainError("at least one clause required")
-        pool = set(self.variables)
-        for clause in (*self.positive, *self.negative):
+        pool = set(variables)
+        for clause in (*positive, *negative):
             if len(clause) != 3:
                 raise DomainError("clauses must have exactly 3 variables")
             if not clause <= pool:
                 raise DomainError("clause mentions an undeclared variable")
+        _set_field(self, "variables", variables)
+        _set_field(self, "positive", positive)
+        _set_field(self, "negative", negative)
+
+    def _key(self) -> tuple:
+        return (self.variables, self.positive, self.negative)
 
 
-@dataclass(frozen=True)
-class Graph:
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]  # endpoint-sorted, deduplicated
+class Graph(_Record):
+    __slots__ = ("vertices", "edges")
 
-    def __post_init__(self) -> None:
-        if not self.vertices:
+    def __init__(
+        self,
+        vertices: tuple[str, ...],
+        edges: tuple[tuple[str, str], ...],  # endpoint-sorted, deduplicated
+    ) -> None:
+        if not vertices:
             raise DomainError("graph needs at least one vertex")
-        if len(set(self.vertices)) != len(self.vertices):
+        if len(set(vertices)) != len(vertices):
             raise DomainError("duplicate vertex")
-        pool = set(self.vertices)
+        pool = set(vertices)
         seen = set()
-        for a, b in self.edges:
+        for a, b in edges:
             if a == b:
                 raise DomainError("self-loop")
             if a not in pool or b not in pool:
@@ -75,6 +86,11 @@ class Graph:
             if (a, b) != tuple(sorted((a, b))) or (a, b) in seen:
                 raise DomainError("edges must be sorted pairs, no repeats")
             seen.add((a, b))
+        _set_field(self, "vertices", vertices)
+        _set_field(self, "edges", edges)
+
+    def _key(self) -> tuple:
+        return (self.vertices, self.edges)
 
 
 def graph(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> Graph:
@@ -82,19 +98,22 @@ def graph(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> Graph:
     return Graph(tuple(vertices), tuple(pairs))
 
 
-@dataclass(frozen=True)
-class PartitionInstance:
+class PartitionInstance(_Record):
     """Multiset of positive integers with an even total."""
 
-    items: tuple[int, ...]
+    __slots__ = ("items",)
 
-    def __post_init__(self) -> None:
-        if not self.items:
+    def __init__(self, items: tuple[int, ...]) -> None:
+        if not items:
             raise DomainError("at least one item required")
-        if any(x < 1 for x in self.items):
+        if any(x < 1 for x in items):
             raise DomainError("items must be positive integers")
-        if sum(self.items) % 2:
+        if sum(items) % 2:
             raise DomainError("total sum must be even")
+        _set_field(self, "items", items)
+
+    def _key(self) -> tuple:
+        return (self.items,)
 
 
 def from_3dmonsat(phi: MonSat3Instance) -> Expr:

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     CapExceeded,
@@ -46,8 +45,7 @@ class FormError(DomainError):
     """Input is not in the syntactic form a checker requires."""
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Counterexample function; evaluates strictly negative on the input."""
 
     kind: str  # 'step' | 'boolean_monotone' | 'polymatroid' | 'basic_modular'
@@ -68,8 +66,7 @@ class Witness:
         return "polymatroid"
 
 
-@dataclass(frozen=True)
-class Axiom:
+class Axiom(NamedTuple):
     kind: str  # 'nonneg' | 'mono'
     sup: int
     sub: int = 0  # only for 'mono': sup contains sub
@@ -80,8 +77,7 @@ class Axiom:
         return {self.sup: 1, self.sub: -1} if self.sup != self.sub else {}
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Positive combination of monotonicity and non-negativity axioms."""
 
     universe: Universe
@@ -105,8 +101,7 @@ class Decomposition:
         return all(len(s) == 1 for s in signs.values())
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     valid: bool
     semantics: tuple[str, ...]
     method: str
@@ -492,8 +487,7 @@ def check_polymatroid(expr: Expr) -> Verdict:
     return _walk_chain(expr)["polymatroid"]
 
 
-@dataclass(frozen=True)
-class AReduction:
+class AReduction(NamedTuple):
     """Coefficient sums for one variable plus the reduced inequality; like
     a coefficient, each sum is an int when the terms it adds are ints."""
 

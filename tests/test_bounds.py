@@ -1,6 +1,5 @@
 """Output-size bounds: the four methods, data-side scans, constraint parsing."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -366,9 +365,7 @@ def test_polymatroid_bound_one_lp_matches_dual_program(monkeypatch):
     for corrupt in (lambda y: 0 * y, lambda y: -y, lambda y: 2 * y):
         def corrupted(lp, corrupt=corrupt):
             res = real(lp)
-            return dataclasses.replace(
-                res, duals=tuple(corrupt(y) for y in res.duals)
-            )
+            return res._replace(duals=tuple(corrupt(y) for y in res.duals))
 
         monkeypatch.setattr(bounds_mod, "solve", corrupted)
         with pytest.raises(ConsistencyError):

@@ -1,5 +1,6 @@
 """Universe, expression algebra, measure expansion, evaluation."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -130,6 +131,21 @@ def test_make_expr_drops_zeros_and_validates():
         make_expr(uni, {8: Fraction(1)})
     with pytest.raises(DomainError):
         Expr(uni, {1: Fraction(0)})
+
+
+@pytest.mark.parametrize("coeff", [0.5, Decimal("0.5"), True, "1"])
+def test_expr_rejects_coefficients_other_than_int_and_fraction(coeff):
+    with pytest.raises(DomainError, match="neither an int nor a Fraction"):
+        Expr(universe("A", "B", "C"), {1: coeff})
+
+
+def test_float_expr_fails_at_construction_and_make_expr_converts():
+    uni = universe("A", "B", "C")
+    with pytest.raises(DomainError):
+        Expr(uni, {1: 0.1, 2: 0.2, 4: 0.3, 7: -0.6})
+    e = make_expr(uni, {1: 0.5, 2: Decimal("0.25"), 3: True, 4: 0.1})
+    assert e.terms == {1: Fraction(1, 2), 2: Fraction(1, 4), 3: 1, 4: Fraction(0.1)}
+    assert type(e.terms[3]) is int
 
 
 def test_two_sided_split():

@@ -1,5 +1,6 @@
 """`import entroplex` loads no submodule, each CLI subcommand loads only the
-modules it uses, and the public names are those of their home modules."""
+modules it uses (never `dataclasses` or `inspect`), and the public names are
+those of their home modules."""
 
 import importlib
 import json
@@ -16,11 +17,12 @@ from helpers import load_bench
 
 SRC = Path(entroplex.__file__).resolve().parent.parent
 
-# Runs the code in argv[1], then prints the entroplex submodules loaded.
+# Runs the code in argv[1], then prints the modules it loaded.
 _LOADED = """
 import json, sys
+before = set(sys.modules)
 exec(sys.argv[1])
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("entroplex."))))
+print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 # Runs cli.main on each argument list in argv[2], output discarded.
@@ -39,8 +41,12 @@ _NEVER_LOADED = {
     "bound": {"reductions", "dsl"},
     "reduce": {"bounds", "validity", "lp"},
     "eval": {"bounds", "validity", "lp"},
-    "degscan": {"reductions", "dsl"},
+    "degscan": {"reductions", "dsl", "bounds", "validity", "lp"},
 }
+
+# Standard modules no subcommand may load: importing them costs several
+# milliseconds of every CLI call's start-up.
+_STDLIB_NEVER_LOADED = {"dataclasses", "inspect"}
 
 
 def _loaded_after(code: str, cwd: Path, *argv: str) -> set[str]:
@@ -50,11 +56,15 @@ def _loaded_after(code: str, cwd: Path, *argv: str) -> set[str]:
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     assert proc.returncode == 0, proc.stderr
-    return {name.split(".", 1)[1] for name in json.loads(proc.stdout)}
+    return set(json.loads(proc.stdout))
+
+
+def _submodules(loaded: set[str]) -> set[str]:
+    return {name.split(".", 1)[1] for name in loaded if name.startswith("entroplex.")}
 
 
 def test_import_loads_no_submodule(tmp_path):
-    assert _loaded_after("import entroplex", tmp_path) == set()
+    assert _submodules(_loaded_after("import entroplex", tmp_path)) == set()
 
 
 def _bench_cli_calls() -> dict[str, list[list[str]]]:
@@ -75,8 +85,10 @@ def test_subcommand_loads_only_what_it_uses(command, tmp_path):
         (tmp_path / name).write_text(text, encoding="utf-8")
     calls = _bench_cli_calls()[command]
     loaded = _loaded_after(_CLI_CALLS, tmp_path, json.dumps(calls))
-    assert {"cli", "core"} <= loaded
-    assert not loaded & _NEVER_LOADED[command], sorted(loaded)
+    submodules = _submodules(loaded)
+    assert {"cli", "core"} <= submodules
+    assert not submodules & _NEVER_LOADED[command], sorted(submodules)
+    assert not loaded & _STDLIB_NEVER_LOADED, sorted(loaded & _STDLIB_NEVER_LOADED)
 
 
 def test_public_names_are_their_home_modules_objects():
