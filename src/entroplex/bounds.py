@@ -40,6 +40,7 @@ from .lp import (
 from .validity import (
     FormError,
     Verdict,
+    _cone_head,
     _cone_program,
     POLYMATROID_MAX_N,
     check_modular,
@@ -307,7 +308,7 @@ def logbound_polymatroid_dual(query: Query, sigma: GuardedSigma) -> BoundResult:
             row[cond.condition - 1] = -1
         lp.add_row(row, "<=", entry.log_degree)
     shape = lp.shape
-    result = solve(lp)
+    result = solve(lp, _cone_head(uni.n))
     self_check(result.status != INFEASIBLE, "the zero function is feasible")
     if result.status == UNBOUNDED:
         return BoundResult(math.inf, "polymatroid-dual", lp_shape=shape)

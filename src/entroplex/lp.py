@@ -16,6 +16,21 @@ and the dual value of every row, read off the final reduced costs (no second
 solve): for a minimization, duals are >= 0 on `>=` rows and <= 0 on `<=`
 rows, c - A^T y >= 0, and sum(rhs * y) is the optimal value; maximizing
 flips each sign.
+
+A `Head` is a program's first rows, all inequalities at rhs 0 (so no phase
+1), pivoted by Bland on those rows alone until the simplex stops, then kept
+read-only. `solve(lp, head)` copies the head's rows, basis and reduced
+costs, appends each remaining row expressed in the head's basis (the
+elimination pass the cost row gets), and goes on from the head's pivot
+count. The cold solve of the same program makes the head's pivots first,
+for three reasons: every head pivot is degenerate; the entering column
+depends only on the objective; and each appended `<=` row's slack has a
+larger index than every head basis column, so at rhs >= 0 the row loses
+every ratio-test tie. A tableau row in lowest terms is fixed by its basis,
+so every result field, pivots and duals included, is the cold solve's. A
+program whose first rows are not the head's row objects, whose objective or
+sense differs, or whose later rows are not `<=` at rhs >= 0 is a
+DomainError, never a cold solve.
 """
 
 from __future__ import annotations
@@ -134,12 +149,25 @@ def _eliminate(
     return den if den == 1 else _lowest_terms(nums, den)
 
 
-class _Tableau:
-    """Equality-form simplex tableau; row i is rows[i] / dens[i]."""
+def _in_basis(
+    nums: dict[int, int], den: int, basis: list[int], rows: list[dict[int, int]],
+) -> int:
+    """Eliminate from a row every basic column of the given tableau rows (a
+    row is 1 at its basic column and 0 at the other basics), in place;
+    return the new denominator."""
+    for b, row in zip(basis, rows):
+        if b in nums:
+            den = _eliminate(nums, den, b, tuple(row.items()), row[b])
+    return den
 
-    def __init__(self, lp: LinearProgram):
+
+class _Tableau:
+    """Equality-form simplex tableau; row i is rows[i] / dens[i]. Started
+    from a head, it holds the head's pivoted rows and basis and appends the
+    program's remaining rows expressed in that basis."""
+
+    def __init__(self, lp: LinearProgram, head: Optional[Head] = None):
         self.n_orig = lp.n_vars
-        self.pivots = 0
         sign = 1 if lp.sense == MINIMIZE else -1
 
         # Column layout: structural vars, then one slack/surplus per inequality
@@ -153,14 +181,26 @@ class _Tableau:
             for _, rel, rhs in lp.rows
         )
         self.artificials = frozenset(range(art, ncols))
-        self.rows: list[dict[int, int]] = []
-        self.dens: list[int] = []
-        self.basis: list[int] = []
         # Row i's multiplier is -red / a at its slack column (a = the slack
         # sign) or else its artificial (a = 1), with the sign flipped back
         # for a negated rhs and for maximizing: f * red.
-        self.dual_cols: list[tuple[int, int]] = []
-        for coeffs, rel, rhs in lp.rows:
+        if head is None:
+            self.pivots = 0
+            self.rows: list[dict[int, int]] = []
+            self.dens: list[int] = []
+            self.basis: list[int] = []
+            self.dual_cols: list[tuple[int, int]] = []
+            rows = lp.rows
+        else:
+            rows = head.tail(lp)
+            start = head.tableau
+            self.pivots = start.pivots
+            self.rows = [dict(row) for row in start.rows]
+            self.dens = list(start.dens)
+            self.basis = list(start.basis)
+            self.dual_cols = list(start.dual_cols)
+            slack += len(start.rows)
+        for coeffs, rel, rhs in rows:
             nums, den = _integer_row({**coeffs, ncols: rhs} if rhs else coeffs)
             f = -sign
             if rhs < 0 or (rel == ">=" and rhs == 0):
@@ -193,15 +233,17 @@ class _Tableau:
         self.ncols = ncols
         self.allowed = [True] * ncols
         self.cost = {j: sign * c for j, c in lp.objective.items()}
+        if head is not None:
+            for i in range(len(start.rows), len(self.rows)):
+                self.dens[i] = _in_basis(
+                    self.rows[i], self.dens[i], start.basis, start.rows)
+            self.red, self.red_den = dict(start.red), start.red_den
 
     def _set_reduced_costs(self, cost: Mapping[int, Rat]) -> None:
         """red_j = c_j - c_B B^-1 A_j, with -c_B x_B in the rhs slot."""
         red, den = _integer_row(cost)
-        for i, b in enumerate(self.basis):
-            if b in red:  # a basic row is 1 at its column, 0 at other basics
-                row = self.rows[i]
-                den = _eliminate(red, den, b, tuple(row.items()), row[b])
-        self.red, self.red_den = red, den
+        self.red_den = _in_basis(red, den, self.basis, self.rows)
+        self.red = red
 
     def _pivot(self, r: int, c: int, holders: list[int]) -> None:
         """Pivot on row r at its positive entry in column c; holders lists
@@ -286,10 +328,45 @@ class _Tableau:
         return values
 
 
-def solve(lp: LinearProgram) -> LPResult:
-    """Exact optimum, infeasibility, or unboundedness, deterministically."""
-    tab = _Tableau(lp)
-    status = tab.solve_two_phase()
+class Head:
+    """A program's first rows pivoted once, for every program that starts
+    with the same row objects and has the same objective and sense; kept
+    read-only (see the module notes)."""
+
+    __slots__ = ("n_vars", "sense", "objective", "rows", "tableau")
+
+    def __init__(self, lp: LinearProgram) -> None:
+        if any(rel == "=" or rhs != 0 for _, rel, rhs in lp.rows):
+            raise DomainError("a head's rows are inequalities at rhs 0")
+        tab = _Tableau(lp)
+        tab.solve_two_phase()
+        self.n_vars, self.sense = lp.n_vars, lp.sense
+        self.objective = dict(lp.objective)
+        self.rows = tuple(lp.rows)
+        self.tableau = tab
+
+    def tail(self, lp: LinearProgram) -> list[tuple[Mapping[int, Rat], str, Rat]]:
+        """The rows of lp after the head's; a DomainError unless lp extends
+        the head by `<=` rows at a rhs >= 0."""
+        k = len(self.rows)
+        if (
+            (lp.n_vars, lp.sense, lp.objective)
+            != (self.n_vars, self.sense, self.objective)
+            or len(lp.rows) < k
+            or any(a is not b for a, b in zip(self.rows, lp.rows))
+        ):
+            raise DomainError("the program does not extend the head")
+        tail = lp.rows[k:]
+        if any(rel != "<=" or rhs < 0 for _, rel, rhs in tail):
+            raise DomainError("a row after the head must be <= at a rhs >= 0")
+        return tail
+
+
+def solve(lp: LinearProgram, head: Optional[Head] = None) -> LPResult:
+    """Exact optimum, infeasibility, or unboundedness, deterministically.
+    Started from a head, the result is the same, pivot count included."""
+    tab = _Tableau(lp, head)
+    status = tab.solve_two_phase() if head is None else tab._iterate()
     if status == INFEASIBLE:
         return LPResult(INFEASIBLE, pivots=tab.pivots)
     if status == UNBOUNDED:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from collections import deque
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .core import (
     CapExceeded,
@@ -33,7 +33,9 @@ from .functions import (
     basic_modular,
     step_function,
 )
-from .lp import LinearProgram, MINIMIZE, OPTIMAL, solve
+
+if TYPE_CHECKING:  # lp is loaded only by the verdicts that solve a program
+    from .lp import Head, LinearProgram
 
 POLYMATROID_MAX_N = 10
 
@@ -444,9 +446,22 @@ def _cone_rows(n: int) -> tuple[tuple[dict[int, int], str, int], ...]:
 def _cone_program(uni: Universe, sense: str) -> LinearProgram:
     """The elemental cone as a program, one column per nonempty set (mask
     m at column m - 1); its first rows are the elemental rows."""
+    from .lp import LinearProgram
+
     lp = LinearProgram(uni.full_mask, sense)
     lp.rows = list(_cone_rows(uni.n))
     return lp
+
+
+@functools.cache
+def _cone_head(n: int) -> Head:
+    """The elemental rows pivoted for maximizing h(full): the head of every
+    polymatroid bound program at n, built once per n, which the bound caps
+    at POLYMATROID_MAX_N."""
+    from .lp import Head, LinearProgram, MAXIMIZE
+
+    full = (1 << n) - 1
+    return Head(LinearProgram(full, MAXIMIZE, {full - 1: 1}, list(_cone_rows(n))))
 
 
 def _cone_lp(expr: Expr) -> Verdict:
@@ -461,6 +476,8 @@ def _cone_lp(expr: Expr) -> Verdict:
         raise CapExceeded(
             f"polymatroid check capped at n <= {POLYMATROID_MAX_N}"
         )
+    from .lp import MINIMIZE, OPTIMAL, solve
+
     lp = _cone_program(uni, MINIMIZE)
     lp.set_objective({m - 1: c for m, c in expr.terms.items()})
     lp.add_row({uni.full_mask - 1: 1}, "<=", 1)

@@ -39,6 +39,7 @@ from entroplex import (
     universe,
 )
 from entroplex.lp import INFEASIBLE, OPTIMAL
+from entroplex.validity import _cone_head
 from helpers import (
     cyclic_system,
     dense_solve,
@@ -336,9 +337,9 @@ def test_polymatroid_bound_one_lp_matches_dual_program(monkeypatch):
     real = bounds_mod.solve
     calls = []
 
-    def counting(lp):
-        calls.append(lp)
-        return real(lp)
+    def counting(lp, head=None):
+        calls.append((lp, head))
+        return real(lp, head)
 
     monkeypatch.setattr(bounds_mod, "solve", counting)
     rng = random.Random(20261018)
@@ -349,6 +350,9 @@ def test_polymatroid_bound_one_lp_matches_dual_program(monkeypatch):
         calls.clear()
         result = logbound_polymatroid_dual(query, sigma)
         assert len(calls) == 1
+        lp, head = calls[0]
+        assert head is _cone_head(sigma.universe.n)
+        assert real(lp, head) == real(lp) == dense_solve(lp)
         oracle = dense_solve(polymatroid_bound_dual_program(sigma))
         if oracle.status == INFEASIBLE:
             assert result.value == math.inf and result.weights is None
@@ -363,8 +367,8 @@ def test_polymatroid_bound_one_lp_matches_dual_program(monkeypatch):
 
     query, sigma = triangle()
     for corrupt in (lambda y: 0 * y, lambda y: -y, lambda y: 2 * y):
-        def corrupted(lp, corrupt=corrupt):
-            res = real(lp)
+        def corrupted(lp, head=None, corrupt=corrupt):
+            res = real(lp, head)
             return res._replace(duals=tuple(corrupt(y) for y in res.duals))
 
         monkeypatch.setattr(bounds_mod, "solve", corrupted)

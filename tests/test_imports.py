@@ -91,6 +91,18 @@ def test_subcommand_loads_only_what_it_uses(command, tmp_path):
     assert not loaded & _STDLIB_NEVER_LOADED, sorted(loaded & _STDLIB_NEVER_LOADED)
 
 
+@pytest.mark.parametrize("args", [
+    ["check", "worked.ineq", "--class", "monotone"],
+    ["check", "im.ineq", "--class", "step"],
+])
+def test_check_with_no_lp_loads_no_lp(args, tmp_path):
+    """A verdict that solves no LP does not load the LP module."""
+    for name, text in load_bench("workloads").CLI_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    submodules = _submodules(_loaded_after(_CLI_CALLS, tmp_path, json.dumps([args])))
+    assert "validity" in submodules and "lp" not in submodules, sorted(submodules)
+
+
 def test_public_names_are_their_home_modules_objects():
     assert len(entroplex.__all__) == 82
     assert entroplex.__all__ == sorted(set(entroplex.__all__))

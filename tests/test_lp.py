@@ -19,6 +19,7 @@ from entroplex import universe
 from entroplex.core import DomainError
 from entroplex.lp import (
     INFEASIBLE,
+    Head,
     LinearProgram,
     MAXIMIZE,
     MINIMIZE,
@@ -244,6 +245,74 @@ def test_integer_rows_match_fraction_rows(ints):
     assert feasible(ints) == feasible(fracs) == dense_feasible(fracs)
 
 
+def _cone(n, sense, objective, tail=()):
+    """The cone program at n with this objective: the shared elemental row
+    objects first, then `tail`."""
+    lp = LinearProgram((1 << n) - 1, sense)
+    lp.set_objective(objective)
+    lp.rows = list(validity_mod._cone_rows(n))
+    for coeffs, rel, rhs in tail:
+        lp.add_row(coeffs, rel, rhs)
+    return lp
+
+
+@st.composite
+def headed_programs(draw):
+    n = draw(st.integers(1, 4))
+    cols = st.integers(0, (1 << n) - 2)
+    objective = draw(st.dictionaries(cols, _RATS, max_size=4))
+    sense = draw(st.sampled_from([MINIMIZE, MAXIMIZE]))
+    tail = draw(st.lists(
+        st.tuples(
+            st.dictionaries(cols, _RATS, max_size=3),
+            st.just("<="),
+            st.just(0) | st.fractions(min_value=0, max_value=5, max_denominator=7),
+        ),
+        max_size=4,
+    ))
+    return Head(_cone(n, sense, objective)), _cone(n, sense, objective, tail)
+
+
+def _with(lp, rows=None, objective=None, sense=None):
+    return LinearProgram(
+        lp.n_vars, lp.sense if sense is None else sense,
+        dict(lp.objective) if objective is None else objective,
+        list(lp.rows) if rows is None else rows,
+    )
+
+
+@given(headed_programs())
+@settings(max_examples=60, deadline=None)
+def test_head_solve_equals_cold_solve(case):
+    """Started from a head over the cone rows, a program with `<=` rows at
+    rhs >= 0 after them gets the cold solve's LPResult, pivots and duals
+    included, and leaves the head as it was; any other program is refused."""
+    head, lp = case
+    start = head.tableau
+    kept = ([dict(row) for row in start.rows], list(start.basis), dict(start.red))
+    assert solve(lp, head) == solve(lp) == dense_solve(lp)
+    assert ([dict(row) for row in start.rows], start.basis, start.red) == kept
+
+    other_sense = MAXIMIZE if lp.sense == MINIMIZE else MINIMIZE
+    refused = (
+        _with(lp, rows=lp.rows + [({0: 1}, ">=", 0)]),
+        _with(lp, rows=lp.rows + [({0: 1}, "<=", -1)]),
+        _with(lp, objective={**lp.objective, 0: lp.objective.get(0, 0) + 1}),
+        _with(lp, sense=other_sense),
+        _with(lp, rows=[(dict(c), rel, rhs) for c, rel, rhs in lp.rows]),
+        _with(lp, rows=lp.rows[1:]),
+    )
+    for bad in refused:
+        with pytest.raises(DomainError):
+            solve(bad, head)
+
+
+def test_head_rows_need_no_phase_one():
+    for rel, rhs in (("=", 0), (">=", 1), ("<=", -1)):
+        with pytest.raises(DomainError):
+            Head(_lp(1, MINIMIZE, {}, [({0: 1}, rel, rhs)]))
+
+
 # Each position's answers, computed with no cone rows held yet.
 _FRESH_ANSWERS = """
 import sys
@@ -285,23 +354,24 @@ def test_cone_rows_memo_leaks_no_state():
         assert fresh.stdout == here + "\n"
 
 
-def _record_package_programs(monkeypatch) -> list[LinearProgram]:
-    """Every LP that validity and bounds solve from now on, in order."""
+def _record_package_programs(monkeypatch) -> list[tuple[LinearProgram, Head | None]]:
+    """Every LP that validity and bounds solve from now on, in order, with
+    the head it was solved from (None for a cold solve)."""
     built = []
 
-    def recording(lp):
-        built.append(lp)
-        return lp_mod.solve(lp)
+    def recording(lp, head=None):
+        built.append((lp, head))
+        return solve(lp, head)
 
-    monkeypatch.setattr(validity_mod, "solve", recording)
+    monkeypatch.setattr(lp_mod, "solve", recording)
     monkeypatch.setattr(bounds_mod, "solve", recording)
     return built
 
 
 def test_package_programs_match_dense_tableau(monkeypatch):
     """Every LP that the cone step of check_polymatroid (n=4) and the four
-    bound methods build: same status, value, point, pivot count and duals as
-    the dense tableau."""
+    bound methods build: same status, value, point, pivot count and duals
+    from the head the package passes, cold and on the dense tableau."""
     built = _record_package_programs(monkeypatch)
     rng = random.Random(20261018)
     uni = universe("A", "B", "C", "D")
@@ -321,15 +391,17 @@ def test_package_programs_match_dense_tableau(monkeypatch):
     # solves one, and on these seeded systems each covering loop ends in one
     # round.
     assert len(built) == 60
-    for lp in built:
-        assert solve(lp) == dense_solve(lp)
+    monkeypatch.undo()  # feasible calls lp.solve: record no more
+    assert sum(head is not None for _, head in built) == 12
+    for lp, head in built:
+        assert solve(lp, head) == solve(lp) == dense_solve(lp)
         assert feasible(lp) == dense_feasible(lp)
 
 
 def test_cone_lp_tail_programs_match_dense_tableau(monkeypatch):
     """The n=5 programs that make up the cone-lp latency tail, 20 cyclic
     polymatroid bounds of 95 rows x 31 columns and 4 cone checks: every
-    LPResult field equals the dense tableau's."""
+    LPResult field, from the n=5 head and cold, equals the dense tableau's."""
     built = _record_package_programs(monkeypatch)
     rng = random.Random(20261019)
     for _ in range(20):
@@ -338,8 +410,9 @@ def test_cone_lp_tail_programs_match_dense_tableau(monkeypatch):
     for _ in range(4):
         validity_mod._cone_lp(rand_expr(rng, uni))
     assert len(built) == 24
-    assert {lp.shape for lp in built[:20]} == {(95, 31)}
-    for lp in built:
-        res = solve(lp)
+    assert {lp.shape for lp, _ in built[:20]} == {(95, 31)}
+    assert all(head is validity_mod._cone_head(5) for _, head in built[:20])
+    for lp, head in built:
+        res = solve(lp, head)
         assert res.pivots > 0
-        assert res == dense_solve(lp)
+        assert res == solve(lp) == dense_solve(lp)
