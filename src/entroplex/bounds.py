@@ -420,10 +420,16 @@ def parse_constraints(text: str) -> tuple[Query, GuardedSigma]:
         m = _CARD_RE.match(line)
         if m:
             name, exponent_text, count_text = m.groups()
+            digits = exponent_text or count_text
+            try:
+                count = int(digits)
+            except ValueError:  # past the interpreter's limit on integer digits
+                raise DomainError(
+                    f"line {lineno}: {len(digits)}-digit cardinality is too long"
+                ) from None
             if exponent_text is not None:
-                log_count = int(exponent_text)
+                log_count = count
             else:
-                count = int(count_text)
                 if count < 1 or count & (count - 1):
                     raise DomainError(
                         f"line {lineno}: cardinality {count} is not a power of two"

@@ -99,13 +99,21 @@ class _Parser:
             names.append(self.take("ident", "a variable name"))
         return names
 
+    def integer(self, what: str) -> tuple[int, Token]:
+        tok = self.take("int", what)
+        try:
+            return int(tok.text), tok
+        except ValueError:  # past the interpreter's limit on integer digits
+            raise DslError(
+                f"{len(tok.text)}-digit number is too long", tok.line, tok.col
+            ) from None
+
     def rational(self) -> Fraction:
-        num = int(self.take("int", "a number").text)
+        num, _ = self.integer("a number")
         den = 1
         if (tok := self.peek()) is not None and tok.kind == "/":
             self.pos += 1
-            den_tok = self.take("int", "a denominator")
-            den = int(den_tok.text)
+            den, den_tok = self.integer("a denominator")
             if den == 0:
                 raise DslError(
                     "zero denominator", den_tok.line, den_tok.col

@@ -116,7 +116,8 @@ class Verdict(NamedTuple):
 
 def _verified_witness(expr: Expr, witness: Witness) -> Witness:
     value = evaluate(expr, witness.function)
-    self_check(value < 0, f"witness evaluates to {value}, expected negative")
+    if value >= 0:  # formatted only on failure: a value may pass 4,300 digits
+        self_check(False, f"witness evaluates to {value}, expected negative")
     return witness
 
 
@@ -138,23 +139,16 @@ def check_modular(expr: Expr) -> Verdict:
     return Verdict(True, ("modular",), "modular")
 
 
-def _plane_bytes(n: int, w: int) -> int:
-    """What check_step held at once before it split the sets into blocks, in
-    bitmaps of 2^n bits: the n `has` patterns, at most 2w column bitmaps and
-    the temporaries. The blocked kernel's bitmaps have at most
-    2^_STEP_LOW bits, so this overstates what it holds; it is kept
-    unchanged so that the step check admits exactly the inputs it admitted
-    before."""
-    return 2 * (n + w) * ((1 << n) // 8 + 32)
-
-
-# What the kernel held at n = 24 and w = 64 (about 369 MB).
-STEP_PLANE_BUDGET = _plane_bytes(24, 64)
-
 # check_step's sets are split into blocks of 2^_STEP_LOW by their variables
 # from index _STEP_LOW up. 15 was the fastest on the step-hard corpus, with
 # 13, 14 and 16 close behind (BENCH_step_blocks.json).
 _STEP_LOW = 15
+
+# The bitmap bytes one block may hold (what the unblocked kernel held at n = 24
+# and w = 64) and all blocks may stream through: 30 random terms, coefficients
+# ±1 and ±2, stream 42 GB at n = 32 and 82 GB at 33.
+STEP_PLANE_BUDGET = 369_104_384
+STEP_WORK_BUDGET = 1 << 36
 
 
 def _lex_key(v: int) -> list[int]:
@@ -183,22 +177,27 @@ def check_step(expr: Expr) -> Verdict:
     the all-ones bitmap. The witness is the least of the blocks' first
     failing sets.
 
-    STEP_PLANE_BUDGET, what the unblocked kernel held at n = 24 and w = 64,
-    still bounds the input: past it, CapExceeded is raised before anything
-    is allocated.
+    A block holds 2(low + w) bitmaps of 2^low bits and one more, with 512
+    bytes for its tuple and digits, per term that names a variable from
+    index low up; CapExceeded is raised before anything is allocated when
+    that passes STEP_PLANE_BUDGET, or STEP_WORK_BUDGET over all blocks.
     """
     uni = expr.universe
     n = uni.n
     positives, negatives = set_representation(expr)
     negative_total = sum(negatives.values())
     w = max(negative_total, sum(positives.values())).bit_length() + 1
-    need = _plane_bytes(n, w)
-    if need > STEP_PLANE_BUDGET:
-        raise CapExceeded(
-            f"step check needs about {need} bytes of bit planes, "
-            f"over its budget of {STEP_PLANE_BUDGET}"
-        )
     low = min(n, _STEP_LOW)
+    s = sum(1 for mask in expr.terms if mask >> low) if n > low else 0
+    held = (2 * (low + w) + s) * ((1 << low) // 8 + 32) + 512 * s
+    if held > STEP_PLANE_BUDGET:
+        raise CapExceeded(
+            f"step check holds {held} bytes per block, over {STEP_PLANE_BUDGET}"
+        )
+    if held << (n - low) > STEP_WORK_BUDGET:
+        raise CapExceeded(
+            f"step check streams {held << (n - low)} bytes, over {STEP_WORK_BUDGET}"
+        )
     size = 1 << low
     every = (1 << size) - 1
     has = []  # has[i]: the sets of a block that contain variable i

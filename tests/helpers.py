@@ -616,9 +616,24 @@ def rand_lp(rng: random.Random) -> LinearProgram:
     return lp
 
 
+def han_text(n: int) -> str:
+    """Han's inequality over V0..V(n-1): the n sets that miss one variable
+    each against n - 1 times the whole set. Valid over polymatroids."""
+    names = [f"V{i}" for i in range(n)]
+    lhs = " + ".join(
+        f"h({','.join(names[:i] + names[i + 1:])})" for i in range(n)
+    )
+    return f"{lhs} >= {n - 1}*h({','.join(names)})\n"
+
+
 def cyclic_system(rng, n):
     """R_i(V_i, V_i+1, V_i+2) around a cycle, each with a cardinality and a
     degree constraint: cyclic and not simple."""
+    return parse_constraints(cyclic_text(rng, n))
+
+
+def cyclic_text(rng, n):
+    """cyclic_system's constraint file."""
     names = [f"V{i}" for i in range(n)]
     atoms = [(names[i], names[(i + 1) % n], names[(i + 2) % n]) for i in range(n)]
     lines = ["query Q(%s) = %s" % (",".join(names), ", ".join(
@@ -626,7 +641,7 @@ def cyclic_system(rng, n):
     for i, (a, b, c) in enumerate(atoms):
         lines.append(f"card R{i} <= {2 ** rng.randint(2, 5)}")
         lines.append(f"logdeg R{i} ({c} | {a},{b}) <= {rng.randint(0, 2)}")
-    return parse_constraints("\n".join(lines))
+    return "\n".join(lines) + "\n"
 
 
 def rand_sigma(

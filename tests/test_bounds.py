@@ -401,12 +401,13 @@ def one_full_entry(n):
 
 
 def test_caps():
-    # The step bound has no cap of its own: the step checker's bit-plane
-    # budget is its only limit, and it admits no universe past 25 variables.
-    result = logbound_step(*one_full_entry(17))
-    assert result.value == 1 and result.weights == (1,)
-    with pytest.raises(CapExceeded, match="bit planes"):
-        logbound_step(*one_full_entry(26))
+    # The step bound has no cap of its own: the step checker's budgets are
+    # its only limit, and at 40 variables the time budget refuses.
+    for n in (17, 26):
+        result = logbound_step(*one_full_entry(n))
+        assert result.value == 1 and result.weights == (1,)
+    with pytest.raises(CapExceeded, match="streams"):
+        logbound_step(*one_full_entry(40))
 
     n = 11
     uni = universe(*[f"V{i}" for i in range(n)])

@@ -18,7 +18,7 @@ from entroplex import (
     universe,
 )
 from entroplex.cli import main
-from helpers import peak_bytes
+from helpers import cyclic_text, han_text, peak_bytes
 
 WORKED = "h(X,Y) + h(Y,Z) + 2*h(X,Z) + h(X) >= h(Y) + 3*h(Z)\n"
 SUBMOD = "h(X,Y) + h(X,Z) >= h(X) + h(X,Y,Z)\n"
@@ -402,6 +402,38 @@ def test_bound_modular_on_30_variable_chain(capsys, tmp_path):
     code, out, _ = run(capsys, "bound", str(path), "--method", "modular")
     assert code == 0
     assert out.splitlines()[0] == "log-bound: 1"
+
+
+def test_step_past_25_variables(capsys, tmp_path):
+    """Han's inequality over 28 variables and the cyclic system over 26,
+    which the guard of the unblocked step kernel refused."""
+    path = tmp_path / "han28.ineq"
+    path.write_text(han_text(28))
+    assert run(capsys, "check", str(path), "--class", "step") == (
+        0, "Valid over step, normal\n", ""
+    )
+    path = tmp_path / "cyclic26.cst"
+    path.write_text(cyclic_text(random.Random(1), 26))
+    code, out, _ = run(capsys, "bound", str(path), "--method", "step")
+    assert code == 0
+    assert out.splitlines()[0] == "log-bound: 19"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("check", "1" + "0" * 5000 + "*h(A) >= h(B)\n"),
+    ("check", "h(A) >= 1/1" + "0" * 5000 + "*h(B)\n"),
+    ("bound", "query Q(A,B) = R(A,B)\ncard R <= 2^" + "1" * 5000 + "\n"),
+    ("bound", "query Q(A,B) = R(A,B)\ncard R <= " + "1" * 5000 + "\n"),
+])
+def test_numbers_past_the_digit_limit(capsys, tmp_path, command, text):
+    """Integers past the interpreter's 4,300-digit conversion limit are an
+    input error at their token or line, not a traceback."""
+    path = tmp_path / "long.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line ") and err.count("\n") == 1
+    assert "-digit " in err and "too long" in err
 
 
 def test_check_monotone_past_63_variables(capsys, tmp_path):

@@ -116,9 +116,10 @@ def test_caps_rows_match_their_constants():
         numbers[label.strip()] = [
             int(x.replace(",", "")) for x in re.findall(r"\d[\d,]*", value)
         ]
-    # the row's formula comes first, then the budget and the (w, n) it fits
-    *_, budget, w, n = numbers.pop("step checker's bitmaps")
-    assert budget == validity.STEP_PLANE_BUDGET == validity._plane_bytes(n, w)
+    # the row's formula comes first, with the block width, then the budgets
+    *formula, plane, work = numbers.pop("step checker's bitmaps")
+    assert formula[-1] == validity._STEP_LOW
+    assert (plane, work) == (validity.STEP_PLANE_BUDGET, validity.STEP_WORK_BUDGET)
     assert numbers == {
         "polymatroid checks and bounds": [validity.POLYMATROID_MAX_N],
         "SAT oracle": [reductions.SAT_ORACLE_MAX_VARS],

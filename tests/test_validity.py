@@ -56,6 +56,7 @@ from entroplex.validity import (
     check_per_class,
 )
 from helpers import (
+    han_text,
     load_bench,
     modular_brute,
     monotone_brute,
@@ -455,47 +456,96 @@ def test_step_kernel_carry_cascades(expr):
     assert_step_matches_oracle(expr)
 
 
+def _held(n, w, s):
+    """What one block of check_step holds, as README's Caps row states it:
+    2(low + w) + s bitmaps of 2^low bits, 2^low/8 + 32 bytes each, and 512
+    bytes more for each of the s terms that reach past low."""
+    low = min(n, validity._STEP_LOW)
+    return (2 * (low + w) + s) * ((1 << low) // 8 + 32) + 512 * s
+
+
+def _guard_figures(expr):
+    """check_step's w and s for expr."""
+    positives, negatives = set_representation(expr)
+    w = max(sum(positives.values()), sum(negatives.values())).bit_length() + 1
+    low = min(expr.universe.n, validity._STEP_LOW)
+    return w, sum(1 for mask in expr.terms if mask >> low)
+
+
 def test_step_guard_refuses_before_allocating():
-    """n = 24 and a 2^200 coefficient need about 474 MB of bit planes, and
-    submodularity over 40 variables about 5.9 TB."""
-    uni = universe(*[f"V{i}" for i in range(24)])
-    big = _declared(40, "h(V0,V2) + h(V1,V2) >= h(V0,V1,V2) + h(V2)")
-    for expr in (make_expr(uni, {uni.full_mask: 2**200, 1: -1}), big):
-        tracemalloc.start()
-        start = time.perf_counter()
-        try:
-            with pytest.raises(CapExceeded, match="bit planes"):
-                check_step(expr)
-            elapsed = time.perf_counter() - start
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert elapsed < 1
-        assert peak < 1 << 20
+    """A 45,002-bit value over 15 variables holds about 372 MB per block.
+    30 random terms over 33 variables and Han's inequality over 33 stream
+    about 82 and 89 GB, and submodularity over 40 about 5 TB."""
+    uni = universe(*[f"V{i}" for i in range(15)])
+    memory = [make_expr(uni, {uni.full_mask: 2**45000, 1: -1})]
+    time_ = [
+        _rand_terms(random.Random(33), 33),
+        parse_inequality(han_text(33)),
+        _declared(40, "h(V0,V2) + h(V1,V2) >= h(V0,V1,V2) + h(V2)"),
+    ]
+    for exprs, match in ((memory, "per block"), (time_, "streams")):
+        for expr in exprs:
+            tracemalloc.start()
+            start = time.perf_counter()
+            try:
+                with pytest.raises(CapExceeded, match=match):
+                    check_step(expr)
+                elapsed = time.perf_counter() - start
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert elapsed < 1
+            assert peak < 1 << 20
 
 
 def test_step_guard_admits_what_64_planes_allowed(monkeypatch):
-    """The budget is what the kernel holds at w = 64 and a given size: with
-    the budget of n = 4, a 63-bit total passes at n = 4 and a 64-bit one
-    does not. Every (n, w) whose n + w planes fit in what 64 planes take
-    at n = 24 passes."""
-    assert validity.STEP_PLANE_BUDGET == validity._plane_bytes(24, 64) == 369_104_384
-    old_budget = 88 * ((1 << 24) // 8 + 32)
-    for n in range(1, 27):
-        plane = (1 << n) // 8 + 32
-        for w in range(1, 2000):
-            if (n + w) * plane <= old_budget:
-                assert validity._plane_bytes(n, w) <= validity.STEP_PLANE_BUDGET
-    monkeypatch.setattr(validity, "STEP_PLANE_BUDGET", validity._plane_bytes(4, 64))
-    uni = universe("A", "B", "C", "D")
-    assert check_step(make_expr(uni, {15: 2**63 - 1, 1: -1})).valid
-    with pytest.raises(CapExceeded):
-        check_step(make_expr(uni, {15: 2**63, 1: -1}))
+    """Every (n, w) that the unblocked kernel's guard, 2(n + w)·(2^n/8 + 32)
+    bytes against 64 planes at n = 24, admitted for n <= 25 is still
+    admitted with a few hundred terms past the first 15 variables, and at
+    n <= 15, where no term reaches past a block, the two guards agree.
+    check_step's guard is _held and _held·2^(n - low) at their edges: with
+    blocks of 2^2 sets, a budget of exactly either admits and one byte less
+    refuses."""
+    assert validity.STEP_PLANE_BUDGET == 369_104_384
+    assert validity.STEP_WORK_BUDGET == 1 << 36
+    for n in range(1, 26):
+        old_plane = (1 << n) // 8 + 32
+        widest = validity.STEP_PLANE_BUDGET // (2 * old_plane) - n
+        if n <= validity._STEP_LOW:
+            for w in (*range(1, 65), widest, widest + 1):
+                assert _held(n, w, 0) == 2 * (n + w) * old_plane
+            continue
+        blocks = 1 << (n - validity._STEP_LOW)
+        for w in range(1, widest + 1):
+            for s in (0, 1, 30, 300):
+                held = _held(n, w, s)
+                assert held <= validity.STEP_PLANE_BUDGET, (n, w, s)
+                assert held * blocks <= validity.STEP_WORK_BUDGET, (n, w, s)
+    rng = random.Random(4)
+    with step_blocks(2):
+        for n in (2, 5, 7):
+            expr = _rand_terms(rng, n, 12)
+            w, s = _guard_figures(expr)
+            held = _held(n, w, s)
+            work = held << (n - min(n, 2))
+            assert s > 0 or n == 2
+            for plane, stream, match in (
+                (held, work, None), (held - 1, work, "per block"),
+                (held, work - 1, "streams"),
+            ):
+                monkeypatch.setattr(validity, "STEP_PLANE_BUDGET", plane)
+                monkeypatch.setattr(validity, "STEP_WORK_BUDGET", stream)
+                if match is None:
+                    check_step(expr)
+                else:
+                    with pytest.raises(CapExceeded, match=match):
+                        check_step(expr)
 
 
 def test_step_peak_within_plane_bytes():
-    """The guard's estimate covers what the kernel holds on seeded n = 18
-    reduction instances, solvable and not, of every family."""
+    """The guard's held bytes cover what the kernel holds on seeded n = 18
+    reduction instances, solvable and not, of every family, and on 19,326
+    random draws: 18,692 terms, 16,353 of which keep a bitmap each."""
     workloads = load_bench("workloads")
     rng = random.Random(18)
     cases = [
@@ -504,13 +554,14 @@ def test_step_peak_within_plane_bytes():
         from_3coloring(workloads._graph_colorable(rng, 6)),
         from_partition(workloads._partition_solvable(rng, 18)),
         from_partition(workloads._partition_unsolvable(rng, 18)),
+        _rand_terms(random.Random(18), 18, 19_326),
     ]
     for expr in cases:
-        positives, negatives = set_representation(expr)
-        w = max(sum(positives.values()), sum(negatives.values())).bit_length() + 1
+        w, s = _guard_figures(expr)
         verdict, peak = peak_bytes(lambda: check_step(expr))
         assert expr.universe.n == 18
-        assert peak < validity._plane_bytes(18, w), (verdict.valid, w, peak)
+        assert peak < _held(18, w, s), (verdict.valid, w, s, peak)
+    assert (len(expr.terms), s) == (18_692, 16_353)
 
 
 def _rand_terms(rng, n, count=30):
@@ -520,6 +571,28 @@ def _rand_terms(rng, n, count=30):
         rng.randint(1, uni.full_mask): rng.choice((-2, -1, 1, 2))
         for _ in range(count)
     })
+
+
+def test_witness_value_past_the_digit_limit():
+    """A witness whose value has over 4,300 digits is verified without
+    formatting that value as text."""
+    expr = make_expr(universe("A", "B"), {1: -(10**5000), 3: 1})
+    verdict = check_step(expr)
+    assert not verdict.valid and verdict.witness.step_set == 1
+
+
+def test_step_answers_past_25_variables():
+    """Han's inequality and 30 random terms over 26 variables, which the
+    guard of the unblocked kernel refused: blocks of 2^15 and 2^17 sets give
+    one verdict, witness included."""
+    cases = [parse_inequality(han_text(26)), _rand_terms(random.Random(26), 26)]
+    verdicts = []
+    for expr in cases:
+        verdict = check_step(expr)
+        with step_blocks(17):
+            assert check_step(expr) == verdict
+        verdicts.append(verdict.valid)
+    assert verdicts == [True, False]
 
 
 def test_step_blocks_match_unblocked_kernel():
