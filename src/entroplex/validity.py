@@ -139,21 +139,110 @@ def check_modular(expr: Expr) -> Verdict:
     return Verdict(True, ("modular",), "modular")
 
 
-# check_step's sets are split into blocks of 2^_STEP_LOW by their variables
-# from index _STEP_LOW up. 15 was the fastest on the step-hard corpus, with
-# 13, 14 and 16 close behind (BENCH_step_blocks.json).
+# check_step's sets are split into blocks of 2^_STEP_LOW by their last
+# _STEP_LOW variables. 15 was the fastest on the step-hard corpus, with 13, 14
+# and 16 close behind (BENCH_step_blocks.json).
 _STEP_LOW = 15
 
-# The bitmap bytes one block may hold (what the unblocked kernel held at n = 24
-# and w = 64) and all blocks may stream through: 30 random terms, coefficients
-# ±1 and ±2, stream 42 GB at n = 32 and 82 GB at 33.
+# The bitmap bytes the step check may hold at once (what the unblocked kernel
+# held at n = 24 and w = 64) and all blocks may stream through: 30 random
+# terms, coefficients ±1 and ±2, stream 42 GB at n = 32 and 82 GB at 33.
 STEP_PLANE_BUDGET = 369_104_384
 STEP_WORK_BUDGET = 1 << 36
 
 
-def _lex_key(v: int) -> list[int]:
-    """The set v as its sorted indices."""
-    return [i for i in range(v.bit_length()) if v >> i & 1]
+def _patterns(m: int) -> list[int]:
+    """has[i]: the subsets of m variables that contain variable i, as one
+    2^m-bit integer."""
+    size = 1 << m
+    has = []
+    for i in range(m):
+        half = 1 << i
+        pattern, period = ((1 << half) - 1) << half, 2 * half
+        while period < size:
+            pattern |= pattern << period
+            period <<= 1
+        has.append(pattern)
+    return has
+
+
+def _hit(has: list[int], part: int) -> int:
+    """The bitmap of the sets that meet part."""
+    out = 0
+    while part:
+        bit = part & -part
+        out |= has[bit.bit_length() - 1]
+        part ^= bit
+    return out
+
+
+def _add(cols: list[list[int]], x: int, times: int) -> None:
+    """Add bitmap x `times` times to a carry-save sum: cols[j] holds at most
+    two bitmaps of weight 2^j. A third one goes through a full adder that
+    leaves the sum in column j and carries into column j + 1. Every set's
+    value stays below 2^w, so nothing carries out of the top column."""
+    for j in range(times.bit_length()):
+        if times >> j & 1:
+            c = x
+            for col in cols[j:]:
+                if len(col) < 2:
+                    col.append(c)
+                    break
+                a, b = col
+                t = a ^ b
+                col[:] = (t ^ c,)
+                c = (a & b) | (c & t)
+
+
+def _first_failing(cols: list[list[int]], has: list[int], every: int) -> int:
+    """The lexicographically first nonempty set whose top bit is clear, or 0.
+
+    One ripple over the columns gives the top plane. The descent then walks
+    the lexicographic tree: the child v | 1 << i heads the subtree of sets
+    v | S with S inside {i+1, ...}, whose bitmap is `below`, and a failing
+    node comes before its subtree."""
+    carry = 0
+    for col in cols[:-1]:
+        if len(col) == 2:
+            a, b = col
+            carry = (a & b) | (carry & (a ^ b))
+        else:
+            carry = carry & col[0] if col else 0
+    top = carry
+    for x in cols[-1]:
+        top ^= x
+    negative = every ^ top
+    v = 0
+    if negative >> 1:
+        below = every
+        for i, pattern in enumerate(has):
+            below ^= below & pattern
+            m = v | 1 << i
+            if negative >> m & below:
+                v = m
+                if negative >> v & 1:
+                    break
+    return v
+
+
+def _reversed(x: int, k: int) -> int:
+    """x's k bits in reverse order."""
+    return int(f"{x:0{k}b}"[::-1], 2)
+
+
+def _sweep(positives: dict[int, int], negatives: dict[int, int], m: int,
+           w: int) -> int:
+    """The lexicographically first failing set of m variables, or 0, for
+    terms over them whose values fit in w bits."""
+    every = (1 << (1 << m)) - 1
+    has = _patterns(m)
+    start = (1 << (w - 1)) - sum(negatives.values())
+    cols = [[every] if start >> j & 1 else [] for j in range(w)]
+    for mask, c in positives.items():
+        _add(cols, _hit(has, mask), c)
+    for mask, c in negatives.items():
+        _add(cols, every ^ _hit(has, mask), c)
+    return _first_failing(cols, has, every)
 
 
 def check_step(expr: Expr) -> Verdict:
@@ -166,21 +255,31 @@ def check_step(expr: Expr) -> Verdict:
     carry-save form, so the top bit plane is clear exactly on the failing
     sets.
 
-    The sets come in blocks: the variables below index `low` = min(n,
-    _STEP_LOW) span a block, and each setting T of the others names one.
-    Bit L of a block's 2^low-bit integers stands for the step set L | T. A
-    term whose top part is empty has the same bitmap in every block, so
-    those terms are summed once into shared columns. Each block copies them
-    and adds the other terms: a term whose top part meets T adds the
-    constant k if positive and nothing if negative, and one that misses T
-    acts as its low part does. The constants are added once per block, as
-    the all-ones bitmap. The witness is the least of the blocks' first
-    failing sets.
+    The sets come in blocks: the last `low` = min(n, _STEP_LOW) variables
+    span a block, and each set P of the first k = n - low names one. Bit L
+    of a block's 2^low-bit integers stands for the step set P | L << k. In
+    lexicographic order P comes before the sets of its subtree over the
+    first k variables, and those come before the sets P | L with L != 0,
+    which form one run headed by P | {k}. So one pass over the 2^k sets P,
+    every term cut to its first k variables, gives the first failing P, and
+    the blocks are visited in post-order, counting down with variable 0 as
+    the top bit. The walk stops before the first block whose run that P
+    sorts before, or at the first block with a failing P | L, L != 0.
 
-    A block holds 2(low + w) bitmaps of 2^low bits and one more, with 512
-    bytes for its tuple and digits, per term that names a variable from
-    index low up; CapExceeded is raised before anything is allocated when
-    that passes STEP_PLANE_BUDGET, or STEP_WORK_BUDGET over all blocks.
+    A term that names none of the first k variables has the same bitmap in
+    every block, so those terms are summed once into shared columns. Each
+    block copies them and adds the other terms: one that meets P adds its
+    multiplicity as a constant if positive and nothing if negative, and one
+    that misses P acts as its part past the first k variables does. The
+    constants are added once per block, as the all-ones bitmap.
+
+    A block streams 2(low + w) bitmaps of 2^low bits and one more, with 512
+    bytes for its tuple and digits, for each of the s terms that name one
+    of the first k variables; when s > 0 it also holds 2w column bitmaps of
+    its own beside the shared ones. The pass over the sets P holds
+    2(k + w) bitmaps of 2^k bits. CapExceeded is raised before anything is
+    allocated when the larger passes STEP_PLANE_BUDGET, or a block's
+    streamed bytes times 2^k pass STEP_WORK_BUDGET.
     """
     uni = expr.universe
     n = uni.n
@@ -188,115 +287,75 @@ def check_step(expr: Expr) -> Verdict:
     negative_total = sum(negatives.values())
     w = max(negative_total, sum(positives.values())).bit_length() + 1
     low = min(n, _STEP_LOW)
-    s = sum(1 for mask in expr.terms if mask >> low) if n > low else 0
-    held = (2 * (low + w) + s) * ((1 << low) // 8 + 32) + 512 * s
+    k = n - low
+    cut = (1 << k) - 1
+    s = sum(1 for mask in expr.terms if mask & cut) if k else 0
+    plane = (1 << low) // 8 + 32
+    block = (2 * (low + w) + s) * plane + 512 * s
+    held = block + 2 * w * plane if s else block
+    if k:
+        held = max(held, 2 * (k + w) * ((1 << k) // 8 + 32))
     if held > STEP_PLANE_BUDGET:
         raise CapExceeded(
-            f"step check holds {held} bytes per block, over {STEP_PLANE_BUDGET}"
+            f"step check holds {held} bytes at once, over {STEP_PLANE_BUDGET}"
         )
-    if held << (n - low) > STEP_WORK_BUDGET:
+    if block << k > STEP_WORK_BUDGET:
         raise CapExceeded(
-            f"step check streams {held << (n - low)} bytes, over {STEP_WORK_BUDGET}"
+            f"step check streams {block << k} bytes, over {STEP_WORK_BUDGET}"
         )
-    size = 1 << low
-    every = (1 << size) - 1
-    has = []  # has[i]: the sets of a block that contain variable i
-    for i in range(low):
-        half = 1 << i
-        pattern, period = ((1 << half) - 1) << half, 2 * half
-        while period < size:
-            pattern |= pattern << period
-            period <<= 1
-        has.append(pattern)
-
-    def hit(part: int) -> int:
-        i = (part & -part).bit_length() - 1
-        out = has[i]
-        for i in range(i + 1, low):
-            if part >> i & 1:
-                out |= has[i]
-        return out
-
-    # Carry-save sum: cols[j] holds at most two bitmaps of weight 2^j. A
-    # third one goes through a full adder that leaves the sum in column j
-    # and carries into column j + 1. Every set's value stays below 2^w, so
-    # nothing carries out of the top column.
-    def add(cols: list[list[int]], x: int, k: int) -> None:
-        for j in range(k.bit_length()):
-            if k >> j & 1:
-                c = x
-                for col in cols[j:]:
-                    if len(col) < 2:
-                        col.append(c)
-                        break
-                    a, b = col
-                    t = a ^ b
-                    col[:] = (t ^ c,)
-                    c = (a & b) | (c & t)
-
-    start = (1 << (w - 1)) - negative_total
-    shared = [[every] if start >> j & 1 else [] for j in range(w)]
-    split = []  # (top part, low part's bitmap, ±k) of the other terms
-    for mask, k in positives.items():
-        if mask >> low:
-            part = mask & (size - 1)
-            split.append((mask >> low, hit(part) if part else 0, k))
-        else:
-            add(shared, hit(mask), k)
-    for mask, k in negatives.items():
-        if mask >> low:
-            part = mask & (size - 1)
-            split.append((mask >> low, hit(part) if part else 0, -k))
-        else:
-            add(shared, every ^ hit(mask), k)
-    first = 0  # the first failing set so far; the empty set never fails
-    for t in range(1 << (n - low)):
-        cols = shared
-        if split:
+    if not k:
+        first = _sweep(positives, negatives, n, w)
+    else:  # the sets P: each term cut to its first part, summed per part
+        net = {}
+        for terms, sign in ((positives, 1), (negatives, -1)):
+            for mask, c in terms.items():
+                net[mask & cut] = net.get(mask & cut, 0) + sign * c
+        net.pop(0, None)
+        first = _sweep(
+            {part: c for part, c in net.items() if c > 0},
+            {part: -c for part, c in net.items() if c < 0}, k, w,
+        )
+    # A block's rank is P read with variable 0 as the top bit, and the walk
+    # counts ranks down. It stops at ranks up to first's or inside first's
+    # subtree, that is up to rank | rank - 1, which is -1 when no P fails.
+    rank = _reversed(first, k) if k and first else 0
+    stop = rank | rank - 1
+    if k and stop < cut:
+        start = (1 << (w - 1)) - negative_total
+        every = (1 << (1 << low)) - 1
+        has = _patterns(low)
+        shared = [[every] if start >> j & 1 else [] for j in range(w)]
+        split = []  # (first part bit-reversed, the rest's bitmap, ±multiplicity)
+        for mask, c in positives.items():
+            bits = _hit(has, mask >> k)
+            if mask & cut:
+                split.append((_reversed(mask & cut, k), bits, c))
+            else:
+                _add(shared, bits, c)
+        for mask, c in negatives.items():
+            bits = _hit(has, mask >> k)
+            if mask & cut:
+                split.append((_reversed(mask & cut, k), bits, -c))
+            else:
+                _add(shared, every ^ bits, c)
+        for rank in range(cut, stop, -1):
             cols = [col[:] for col in shared]
             const = 0
-            for high, bits, k in split:
-                if high & t:  # the term meets every set of the block
-                    const += max(k, 0)
+            for part, bits, c in split:
+                if part & rank:  # the term meets every set of the block
+                    const += max(c, 0)
                 elif not bits:  # and here it meets none
-                    const += max(-k, 0)
-                elif k > 0:
-                    add(cols, bits, k)
+                    const += max(-c, 0)
+                elif c > 0:
+                    _add(cols, bits, c)
                 else:
-                    add(cols, every ^ bits, -k)
+                    _add(cols, every ^ bits, -c)
             if const:
-                add(cols, every, const)
-        # One ripple over the columns gives the top plane.
-        carry = 0
-        for col in cols[:-1]:
-            if len(col) == 2:
-                a, b = col
-                carry = (a & b) | (carry & (a ^ b))
-            else:
-                carry = carry & col[0] if col else 0
-        top = carry
-        for x in cols[-1]:
-            top ^= x
-        negative = every ^ top
-        if not negative:
-            continue
-        # Descend the lexicographic tree: the child v | 1 << i heads the
-        # subtree of sets v | S with S inside {i+1..low-1}, whose bitmap is
-        # `below`. For T != 0 every set is L | T with L below T, so a longer
-        # L sorts first, (0, 1, 16) < (0, 16): the descent stops at a failing
-        # node only in block 0, and elsewhere ends at the deepest one.
-        v = 0
-        below = every
-        for i in range(low):
-            below ^= below & has[i]
-            m = v | 1 << i
-            if negative >> m & below:
-                v = m
-                if not t and negative >> v & 1:
-                    break
-        v |= t << low
-        if not first or _lex_key(v) < _lex_key(first):
-            first = v
+                _add(cols, every, const)
+            v = _first_failing(cols, has, every)
+            if v:
+                first = _reversed(rank, k) | v << k
+                break
     if not first:
         return Verdict(True, STEP_CLASSES, "step-enumeration")
     witness = Witness("step", step_function(uni, first), step_set=first)

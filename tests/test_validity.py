@@ -457,23 +457,34 @@ def test_step_kernel_carry_cascades(expr):
 
 
 def _held(n, w, s):
-    """What one block of check_step holds, as README's Caps row states it:
-    2(low + w) + s bitmaps of 2^low bits, 2^low/8 + 32 bytes each, and 512
-    bytes more for each of the s terms that reach past low."""
+    """What check_step holds at once and what its blocks stream, as README's
+    Caps row states it. With low = min(n, 15) and k = n - low, a block
+    streams 2(low + w) + s bitmaps of 2^low bits, 2^low/8 + 32 bytes each,
+    and 512 bytes more for each of the s terms that name one of the first k
+    variables; when s > 0 it holds 2w bitmaps more, its own columns. The
+    pass over the 2^k sets of the first k variables holds 2(k + w) bitmaps
+    of 2^k bits. Returns (held, streamed): the larger of the two passes,
+    and a block's streamed bytes times 2^k."""
     low = min(n, validity._STEP_LOW)
-    return (2 * (low + w) + s) * ((1 << low) // 8 + 32) + 512 * s
+    k = n - low
+    plane = (1 << low) // 8 + 32
+    block = (2 * (low + w) + s) * plane + 512 * s
+    held = block + 2 * w * plane if s else block
+    if k:
+        held = max(held, 2 * (k + w) * ((1 << k) // 8 + 32))
+    return held, block << k
 
 
 def _guard_figures(expr):
     """check_step's w and s for expr."""
     positives, negatives = set_representation(expr)
     w = max(sum(positives.values()), sum(negatives.values())).bit_length() + 1
-    low = min(expr.universe.n, validity._STEP_LOW)
-    return w, sum(1 for mask in expr.terms if mask >> low)
+    k = expr.universe.n - min(expr.universe.n, validity._STEP_LOW)
+    return w, sum(1 for mask in expr.terms if mask & ((1 << k) - 1))
 
 
 def test_step_guard_refuses_before_allocating():
-    """A 45,002-bit value over 15 variables holds about 372 MB per block.
+    """A 45,002-bit value over 15 variables holds about 372 MB at once.
     30 random terms over 33 variables and Han's inequality over 33 stream
     about 82 and 89 GB, and submodularity over 40 about 5 TB."""
     uni = universe(*[f"V{i}" for i in range(15)])
@@ -483,7 +494,7 @@ def test_step_guard_refuses_before_allocating():
         parse_inequality(han_text(33)),
         _declared(40, "h(V0,V2) + h(V1,V2) >= h(V0,V1,V2) + h(V2)"),
     ]
-    for exprs, match in ((memory, "per block"), (time_, "streams")):
+    for exprs, match in ((memory, "at once"), (time_, "streams")):
         for expr in exprs:
             tracemalloc.start()
             start = time.perf_counter()
@@ -501,37 +512,43 @@ def test_step_guard_refuses_before_allocating():
 def test_step_guard_admits_what_64_planes_allowed(monkeypatch):
     """Every (n, w) that the unblocked kernel's guard, 2(n + w)·(2^n/8 + 32)
     bytes against 64 planes at n = 24, admitted for n <= 25 is still
-    admitted with a few hundred terms past the first 15 variables, and at
-    n <= 15, where no term reaches past a block, the two guards agree.
-    check_step's guard is _held and _held·2^(n - low) at their edges: with
-    blocks of 2^2 sets, a budget of exactly either admits and one byte less
-    refuses."""
+    admitted with a few hundred terms on the first n - 15 variables, but
+    for one corner: at n = 16 a block's own 2w columns refuse w from 22,346
+    (22,262 with 300 terms) up to the 22,424 the old guard reached. At
+    n <= 15, where there is one block, the two guards agree. check_step's
+    guard is _held at its edges: with blocks of 2^2 sets, budgets of
+    exactly (held, streamed) admit, and one byte less on either refuses."""
     assert validity.STEP_PLANE_BUDGET == 369_104_384
     assert validity.STEP_WORK_BUDGET == 1 << 36
+    refused = {}
     for n in range(1, 26):
         old_plane = (1 << n) // 8 + 32
         widest = validity.STEP_PLANE_BUDGET // (2 * old_plane) - n
         if n <= validity._STEP_LOW:
             for w in (*range(1, 65), widest, widest + 1):
-                assert _held(n, w, 0) == 2 * (n + w) * old_plane
+                assert _held(n, w, 0)[0] == 2 * (n + w) * old_plane
             continue
-        blocks = 1 << (n - validity._STEP_LOW)
         for w in range(1, widest + 1):
             for s in (0, 1, 30, 300):
-                held = _held(n, w, s)
-                assert held <= validity.STEP_PLANE_BUDGET, (n, w, s)
-                assert held * blocks <= validity.STEP_WORK_BUDGET, (n, w, s)
+                held, streamed = _held(n, w, s)
+                assert streamed <= validity.STEP_WORK_BUDGET, (n, w, s)
+                if held > validity.STEP_PLANE_BUDGET:
+                    refused.setdefault((n, s), []).append(w)
+    assert {key: (min(ws), max(ws), len(ws)) for key, ws in refused.items()} == {
+        (16, 1): (22_346, 22_424, 79),
+        (16, 30): (22_338, 22_424, 87),
+        (16, 300): (22_262, 22_424, 163),
+    }
     rng = random.Random(4)
     with step_blocks(2):
         for n in (2, 5, 7):
             expr = _rand_terms(rng, n, 12)
             w, s = _guard_figures(expr)
-            held = _held(n, w, s)
-            work = held << (n - min(n, 2))
+            held, streamed = _held(n, w, s)
             assert s > 0 or n == 2
             for plane, stream, match in (
-                (held, work, None), (held - 1, work, "per block"),
-                (held, work - 1, "streams"),
+                (held, streamed, None), (held - 1, streamed, "at once"),
+                (held, streamed - 1, "streams"),
             ):
                 monkeypatch.setattr(validity, "STEP_PLANE_BUDGET", plane)
                 monkeypatch.setattr(validity, "STEP_WORK_BUDGET", stream)
@@ -544,8 +561,11 @@ def test_step_guard_admits_what_64_planes_allowed(monkeypatch):
 
 def test_step_peak_within_plane_bytes():
     """The guard's held bytes cover what the kernel holds on seeded n = 18
-    reduction instances, solvable and not, of every family, and on 19,326
-    random draws: 18,692 terms, 16,353 of which keep a bitmap each."""
+    reduction instances, solvable and not, of every family, on 19,326
+    random draws (18,692 terms, 16,339 of which keep a bitmap each), and on
+    two Valid inequalities with 4,000-bit multiplicities, so that every
+    block runs: Han's over all 18 variables and Han's over the last 15,
+    which fills the shared columns while each block adds 2w of its own."""
     workloads = load_bench("workloads")
     rng = random.Random(18)
     cases = [
@@ -554,14 +574,25 @@ def test_step_peak_within_plane_bytes():
         from_3coloring(workloads._graph_colorable(rng, 6)),
         from_partition(workloads._partition_solvable(rng, 18)),
         from_partition(workloads._partition_unsolvable(rng, 18)),
-        _rand_terms(random.Random(18), 18, 19_326),
     ]
+    wide = random.Random(7)
+    terms = {}
+    for variables in (range(18), range(3, 18)):
+        factor = 1 << 3999 | wide.getrandbits(3999)
+        full = sum(1 << i for i in variables)
+        terms[full] = terms.get(full, 0) - (len(variables) - 1) * factor
+        for i in variables:
+            terms[full ^ 1 << i] = terms.get(full ^ 1 << i, 0) + factor
+    cases.append(make_expr(universe(*[f"V{i}" for i in range(18)]), terms))
+    cases.append(_rand_terms(random.Random(18), 18, 19_326))
     for expr in cases:
         w, s = _guard_figures(expr)
         verdict, peak = peak_bytes(lambda: check_step(expr))
         assert expr.universe.n == 18
-        assert peak < _held(18, w, s), (verdict.valid, w, s, peak)
-    assert (len(expr.terms), s) == (18_692, 16_353)
+        assert peak < _held(18, w, s)[0], (verdict.valid, w, s, peak)
+        if w > 4000:
+            assert verdict.valid and s == 19
+    assert (len(expr.terms), s) == (18_692, 16_339)
 
 
 def _rand_terms(rng, n, count=30):
@@ -620,6 +651,59 @@ def test_step_blocks_match_unblocked_kernel():
         verdicts.append(verdict.valid)
     assert verdicts[:8] == [False, False, True, True, False, True, False, True]
     assert not all(verdicts[8:])
+
+
+# (label, n, terms, the first failing set or None, blocks run) under blocks
+# of 2^2 sets, so the first n - 2 variables name the blocks.
+_STEP_ORDER = [
+    # f({0}) = 1, f({0,1}) = -1: the pass over the sets of the first
+    # variables answers, and no block runs
+    ("a set of the first variables", 4, {1: 1, 2: -2}, 0b11, 0),
+    # blocks {0,1,2} and {0,1}; {0,3} in the ancestor block {0} fails too
+    ("a descendant block", 5, {8: -1, 4: 1}, 0b1011, 2),
+    # blocks {0,1,2}, {0,1} and their later sibling {0,2}
+    ("a later sibling", 5, {8: -1, 2: 1}, 0b1101, 3),
+    # {0,2} fails; the blocks {0,1,2,3}, {0,1,2}, {0,1,3} and {0,1} run
+    # before it, none of {0,2}'s own subtree does
+    ("a set of the first variables after blocks", 6, {2: 1, 4: -1}, 0b101, 4),
+    # only sets without the first variables fail: the last block, P = {}
+    ("the last block", 5, {8: -1, 1: 1, 2: 1, 4: 1}, 0b1000, 8),
+    ("Valid: Han's inequality", 6, None, None, 16),
+]
+
+
+@pytest.mark.parametrize("label,n,terms,first,blocks", _STEP_ORDER)
+def test_step_blocks_in_lexicographic_order(
+    monkeypatch, label, n, terms, first, blocks
+):
+    """The walk visits blocks in post-order and stops at the first that
+    settles the witness: the oracle's first failing set, after the pinned
+    number of blocks (calls of the descent past the first pass)."""
+    if terms is None:
+        expr = parse_inequality(han_text(n))
+    else:
+        expr = make_expr(universe(*[f"V{i}" for i in range(n)]), terms)
+    descents = []
+    descend = validity._first_failing
+    monkeypatch.setattr(
+        validity, "_first_failing", lambda *a: descents.append(a) or descend(*a)
+    )
+    with step_blocks(2):
+        verdict = check_step(expr)
+    assert step_first_failing(expr) == first
+    assert (verdict.witness.step_set if first else None) == first
+    assert verdict.valid == (first is None)
+    assert len(descents) - 1 == blocks
+
+
+def test_step_random_terms_answered_before_any_block():
+    """30 random terms over 30 variables fail at {V0}, which the pass over
+    the sets of the first 15 variables finds: no block of 2^15 sets runs."""
+    expr = _rand_terms(random.Random(30), 30)
+    start = time.perf_counter()
+    verdict = check_step(expr)
+    assert time.perf_counter() - start < 0.2
+    assert verdict.witness.step_set == 1
 
 
 def test_step_peak_flat_past_one_block():
