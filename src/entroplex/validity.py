@@ -230,71 +230,109 @@ def _reversed(x: int, k: int) -> int:
     return int(f"{x:0{k}b}"[::-1], 2)
 
 
-def _sweep(positives: dict[int, int], negatives: dict[int, int], m: int,
-           w: int) -> int:
-    """The lexicographically first failing set of m variables, or 0, for
-    terms over them whose values fit in w bits."""
-    every = (1 << (1 << m)) - 1
-    has = _patterns(m)
-    start = (1 << (w - 1)) - sum(negatives.values())
-    cols = [[every] if start >> j & 1 else [] for j in range(w)]
-    for mask, c in positives.items():
-        _add(cols, _hit(has, mask), c)
-    for mask, c in negatives.items():
-        _add(cols, every ^ _hit(has, mask), c)
-    return _first_failing(cols, has, every)
+def _first_set(terms: dict[int, int], n: int, w: int) -> int:
+    """The lexicographically first set of n variables on which the terms,
+    masks with signed multiplicities whose positive and negative totals
+    are each below 2^(w-1), sum below zero; or 0.
+
+    The sets come in blocks: the last `low` = min(n, _STEP_LOW) variables
+    span a block, and each set P of the first k = n - low names one. Bit L
+    of a block's 2^low-bit integers stands for the set P | L << k. In
+    lexicographic order P comes before the sets of its subtree over the
+    first k variables, and those come before the sets P | L with L != 0,
+    which form one run headed by P | {k}. So the first failing P is this
+    function's answer on the terms cut to their first k variables, and the
+    blocks are visited in post-order, counting down with variable 0 as the
+    top bit. The walk stops before the first block whose run that P sorts
+    before, or at the first block with a failing P | L, L != 0. At k = 0
+    there is one block and nothing to cut.
+
+    Every set's value is kept as the w-bit number 2^(w-1) - N + (positive
+    terms it meets) + (negative terms it misses) = 2^(w-1) + f(V), with N
+    the negative total, summed bit-sliced in carry-save form, so the top
+    bit plane is clear exactly on the failing sets. A term that names none
+    of the first k variables has the same bitmap in every block, so those
+    terms are summed once into shared columns. Each block copies them and
+    adds the other terms: one that meets P adds its multiplicity as a
+    constant if positive and nothing if negative, and one that misses P
+    acts as its part past the first k variables does. The constants are
+    added once per block, as the all-ones bitmap.
+    """
+    low = min(n, _STEP_LOW)
+    k = n - low
+    cut = (1 << k) - 1
+    first = 0
+    if k:
+        net = {}
+        for mask, c in terms.items():
+            net[mask & cut] = net.get(mask & cut, 0) + c
+        first = _first_set({m: c for m, c in net.items() if m and c}, k, w)
+    # A block's rank is P read with variable 0 as the top bit, and the walk
+    # counts ranks down. It stops at ranks up to first's or inside first's
+    # subtree, that is up to rank | rank - 1, which is -1 when no P fails.
+    rank = _reversed(first, k) if first else 0
+    stop = rank | rank - 1
+    if stop == cut:
+        return first
+    every = (1 << (1 << low)) - 1
+    has = _patterns(low)
+    start = (1 << (w - 1)) + sum(c for c in terms.values() if c < 0)
+    shared = [[every] if start >> j & 1 else [] for j in range(w)]
+    split = []  # (first part bit-reversed, the rest's bitmap, multiplicity)
+    for mask, c in terms.items():
+        bits = _hit(has, mask >> k)
+        if mask & cut:
+            split.append((_reversed(mask & cut, k), bits, c))
+        elif c > 0:
+            _add(shared, bits, c)
+        else:
+            _add(shared, every ^ bits, -c)
+    for rank in range(cut, stop, -1):
+        cols = [col[:] for col in shared]
+        const = 0
+        for part, bits, c in split:
+            if part & rank:  # the term meets every set of the block
+                const += max(c, 0)
+            elif not bits:  # and here it meets none
+                const += max(-c, 0)
+            elif c > 0:
+                _add(cols, bits, c)
+            else:
+                _add(cols, every ^ bits, -c)
+        if const:
+            _add(cols, every, const)
+        v = _first_failing(cols, has, every)
+        if v:
+            return _reversed(rank, k) | v << k
+    return first
 
 
 def check_step(expr: Expr) -> Verdict:
     """Evaluate every step function at once; first failure in lexicographic
     order of the step sets as sorted index tuples: {0},{0,1},...,{n-1}.
 
-    With N the total negative and P the total positive multiplicity, every
-    set's value is kept as the w-bit number 2^(w-1) - N + (positives it
-    meets) + (negatives it misses) = 2^(w-1) + f(V), summed bit-sliced in
-    carry-save form, so the top bit plane is clear exactly on the failing
-    sets.
-
-    The sets come in blocks: the last `low` = min(n, _STEP_LOW) variables
-    span a block, and each set P of the first k = n - low names one. Bit L
-    of a block's 2^low-bit integers stands for the step set P | L << k. In
-    lexicographic order P comes before the sets of its subtree over the
-    first k variables, and those come before the sets P | L with L != 0,
-    which form one run headed by P | {k}. So one pass over the 2^k sets P,
-    every term cut to its first k variables, gives the first failing P, and
-    the blocks are visited in post-order, counting down with variable 0 as
-    the top bit. The walk stops before the first block whose run that P
-    sorts before, or at the first block with a failing P | L, L != 0.
-
-    A term that names none of the first k variables has the same bitmap in
-    every block, so those terms are summed once into shared columns. Each
-    block copies them and adds the other terms: one that meets P adds its
-    multiplicity as a constant if positive and nothing if negative, and one
-    that misses P acts as its part past the first k variables does. The
-    constants are added once per block, as the all-ones bitmap.
-
-    A block streams 2(low + w) bitmaps of 2^low bits and one more, with 512
-    bytes for its tuple and digits, for each of the s terms that name one
-    of the first k variables; when s > 0 it also holds 2w column bitmaps of
-    its own beside the shared ones. The pass over the sets P holds
-    2(k + w) bitmaps of 2^k bits. CapExceeded is raised before anything is
-    allocated when the larger passes STEP_PLANE_BUDGET, or a block's
-    streamed bytes times 2^k pass STEP_WORK_BUDGET.
+    _first_set walks the sets in blocks of 2^low, low = min(n, _STEP_LOW),
+    one per set of the first k = n - low variables. A block streams
+    2(low + w) bitmaps of 2^low bits and one more, with 512 bytes for its
+    tuple and digits, for each of the s terms that name one of the first k
+    variables; when s > 0 it also holds 2w column bitmaps of its own beside
+    the shared ones. The walk that finds the first failing set of the first
+    k variables has no more variables per block, terms or bit positions, so
+    it holds no more. CapExceeded is raised before anything is allocated
+    when a block's held bytes pass STEP_PLANE_BUDGET, or its streamed bytes
+    times 2^k pass STEP_WORK_BUDGET.
     """
     uni = expr.universe
     n = uni.n
     positives, negatives = set_representation(expr)
-    negative_total = sum(negatives.values())
-    w = max(negative_total, sum(positives.values())).bit_length() + 1
+    w = max(sum(negatives.values()), sum(positives.values())).bit_length() + 1
     low = min(n, _STEP_LOW)
     k = n - low
     cut = (1 << k) - 1
-    s = sum(1 for mask in expr.terms if mask & cut) if k else 0
+    s = sum(1 for mask in expr.terms if mask & cut)
     plane = (1 << low) // 8 + 32
     block = (2 * (low + w) + s) * plane + 512 * s
     held = block + 2 * w * plane if s else block
-    if k:
-        held = max(held, 2 * (k + w) * ((1 << k) // 8 + 32))
     if held > STEP_PLANE_BUDGET:
         raise CapExceeded(
             f"step check holds {held} bytes at once, over {STEP_PLANE_BUDGET}"
@@ -303,59 +341,10 @@ def check_step(expr: Expr) -> Verdict:
         raise CapExceeded(
             f"step check streams {block << k} bytes, over {STEP_WORK_BUDGET}"
         )
-    if not k:
-        first = _sweep(positives, negatives, n, w)
-    else:  # the sets P: each term cut to its first part, summed per part
-        net = {}
-        for terms, sign in ((positives, 1), (negatives, -1)):
-            for mask, c in terms.items():
-                net[mask & cut] = net.get(mask & cut, 0) + sign * c
-        net.pop(0, None)
-        first = _sweep(
-            {part: c for part, c in net.items() if c > 0},
-            {part: -c for part, c in net.items() if c < 0}, k, w,
-        )
-    # A block's rank is P read with variable 0 as the top bit, and the walk
-    # counts ranks down. It stops at ranks up to first's or inside first's
-    # subtree, that is up to rank | rank - 1, which is -1 when no P fails.
-    rank = _reversed(first, k) if k and first else 0
-    stop = rank | rank - 1
-    if k and stop < cut:
-        start = (1 << (w - 1)) - negative_total
-        every = (1 << (1 << low)) - 1
-        has = _patterns(low)
-        shared = [[every] if start >> j & 1 else [] for j in range(w)]
-        split = []  # (first part bit-reversed, the rest's bitmap, ±multiplicity)
-        for mask, c in positives.items():
-            bits = _hit(has, mask >> k)
-            if mask & cut:
-                split.append((_reversed(mask & cut, k), bits, c))
-            else:
-                _add(shared, bits, c)
-        for mask, c in negatives.items():
-            bits = _hit(has, mask >> k)
-            if mask & cut:
-                split.append((_reversed(mask & cut, k), bits, -c))
-            else:
-                _add(shared, every ^ bits, c)
-        for rank in range(cut, stop, -1):
-            cols = [col[:] for col in shared]
-            const = 0
-            for part, bits, c in split:
-                if part & rank:  # the term meets every set of the block
-                    const += max(c, 0)
-                elif not bits:  # and here it meets none
-                    const += max(-c, 0)
-                elif c > 0:
-                    _add(cols, bits, c)
-                else:
-                    _add(cols, every ^ bits, -c)
-            if const:
-                _add(cols, every, const)
-            v = _first_failing(cols, has, every)
-            if v:
-                first = _reversed(rank, k) | v << k
-                break
+    terms = positives  # and the negative multiplicities, negated
+    for mask, c in negatives.items():
+        terms[mask] = -c
+    first = _first_set(terms, n, w)
     if not first:
         return Verdict(True, STEP_CLASSES, "step-enumeration")
     witness = Witness("step", step_function(uni, first), step_set=first)

@@ -461,17 +461,14 @@ def _held(n, w, s):
     Caps row states it. With low = min(n, 15) and k = n - low, a block
     streams 2(low + w) + s bitmaps of 2^low bits, 2^low/8 + 32 bytes each,
     and 512 bytes more for each of the s terms that name one of the first k
-    variables; when s > 0 it holds 2w bitmaps more, its own columns. The
-    pass over the 2^k sets of the first k variables holds 2(k + w) bitmaps
-    of 2^k bits. Returns (held, streamed): the larger of the two passes,
-    and a block's streamed bytes times 2^k."""
+    variables; when s > 0 it holds 2w bitmaps more, its own columns.
+    Returns (held, streamed): what a block holds, and its streamed bytes
+    times 2^k."""
     low = min(n, validity._STEP_LOW)
     k = n - low
     plane = (1 << low) // 8 + 32
     block = (2 * (low + w) + s) * plane + 512 * s
     held = block + 2 * w * plane if s else block
-    if k:
-        held = max(held, 2 * (k + w) * ((1 << k) // 8 + 32))
     return held, block << k
 
 
@@ -557,6 +554,48 @@ def test_step_guard_admits_what_64_planes_allowed(monkeypatch):
                 else:
                     with pytest.raises(CapExceeded, match=match):
                         check_step(expr)
+
+
+def test_step_first_pass_never_decided_a_refusal():
+    """An unblocked pass over the sets of the first k variables would hold
+    2(k + w) bitmaps of 2^k bits. At every n and s the time budget admits,
+    those bytes stay within the memory budget at the widest w the time
+    budget admits, so counting them in the guard would refuse nothing
+    more: walking that pass in blocks left the refused inputs as they
+    were."""
+    low = validity._STEP_LOW
+    plane = (1 << low) // 8 + 32
+    last = {}
+    for n in itertools.count(low + 1):
+        k = n - low
+        admitted = False
+        for s in (0, 1, 30, 300, 3_000, 30_000):
+            room = validity.STEP_WORK_BUDGET >> k
+            w = ((room - 512 * s) // plane - s) // 2 - low
+            if w < 1:
+                continue
+            admitted = True
+            last[s] = n
+            assert _held(n, w, s)[1] <= validity.STEP_WORK_BUDGET
+            assert _held(n, w + 1, s)[1] > validity.STEP_WORK_BUDGET
+            first_pass = 2 * (k + w) * ((1 << k) // 8 + 32)
+            assert first_pass <= validity.STEP_PLANE_BUDGET, (n, w, s)
+        if not admitted:
+            break
+    assert last == {0: 33, 1: 33, 30: 32, 300: 30, 3_000: 27, 30_000: 23}
+
+
+def test_step_first_pass_peak_is_blocked():
+    """30 random terms at n = 31 and 32: an unblocked pass over the sets of
+    the first 16 and 17 variables would hold 2^16- and 2^17-bit bitmaps,
+    more than a block of the whole walk (565 KB against 379 KB at 32).
+    Walked in blocks of 2^15 sets itself, it peaks within that block."""
+    for n in (31, 32):
+        expr = _rand_terms(random.Random(n), n)
+        w, s = _guard_figures(expr)
+        verdict, peak = peak_bytes(lambda: check_step(expr))
+        assert verdict.witness.step_set == 1
+        assert peak < _held(n, w, s)[0], (n, w, s, peak)
 
 
 def test_step_peak_within_plane_bytes():
@@ -656,7 +695,7 @@ def test_step_blocks_match_unblocked_kernel():
 # (label, n, terms, the first failing set or None, blocks run) under blocks
 # of 2^2 sets, so the first n - 2 variables name the blocks.
 _STEP_ORDER = [
-    # f({0}) = 1, f({0,1}) = -1: the pass over the sets of the first
+    # f({0}) = 1, f({0,1}) = -1: the walk over the sets of the first
     # variables answers, and no block runs
     ("a set of the first variables", 4, {1: 1, 2: -2}, 0b11, 0),
     # blocks {0,1,2} and {0,1}; {0,3} in the ancestor block {0} fails too
@@ -678,22 +717,34 @@ def test_step_blocks_in_lexicographic_order(
 ):
     """The walk visits blocks in post-order and stops at the first that
     settles the witness: the oracle's first failing set, after the pinned
-    number of blocks (calls of the descent past the first pass)."""
+    number of blocks (calls of the descent by the outermost walk; the walk
+    over the sets of the first n - 2 variables runs blocks of its own)."""
     if terms is None:
         expr = parse_inequality(han_text(n))
     else:
         expr = make_expr(universe(*[f"V{i}" for i in range(n)]), terms)
-    descents = []
-    descend = validity._first_failing
+    depth = [0]
+    descents = []  # the depth of the walk that made each call of the descent
+    walk, descend = validity._first_set, validity._first_failing
+
+    def nested(*args):
+        depth[0] += 1
+        try:
+            return walk(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(validity, "_first_set", nested)
     monkeypatch.setattr(
-        validity, "_first_failing", lambda *a: descents.append(a) or descend(*a)
+        validity, "_first_failing",
+        lambda *a: descents.append(depth[0]) or descend(*a),
     )
     with step_blocks(2):
         verdict = check_step(expr)
     assert step_first_failing(expr) == first
     assert (verdict.witness.step_set if first else None) == first
     assert verdict.valid == (first is None)
-    assert len(descents) - 1 == blocks
+    assert descents.count(1) == blocks
 
 
 def test_step_random_terms_answered_before_any_block():
