@@ -184,7 +184,8 @@ def _add(cols: list[list[int]], x: int, times: int) -> None:
     for j in range(times.bit_length()):
         if times >> j & 1:
             c = x
-            for col in cols[j:]:
+            for i in range(j, len(cols)):  # a slice would copy O(w) per bit
+                col = cols[i]
                 if len(col) < 2:
                     col.append(c)
                     break
@@ -244,8 +245,10 @@ def _first_set(terms: dict[int, int], n: int, w: int) -> int:
     function's answer on the terms cut to their first k variables, and the
     blocks are visited in post-order, counting down with variable 0 as the
     top bit. The walk stops before the first block whose run that P sorts
-    before, or at the first block with a failing P | L, L != 0. At k = 0
-    there is one block and nothing to cut.
+    before, or at the first block with a failing P | L, L != 0. When no
+    term names one of the first k variables, as at k = 0, every block is
+    alike and the first one visited, P = the first k variables, sorts
+    before the others: it alone is walked.
 
     Every set's value is kept as the w-bit number 2^(w-1) - N + (positive
     terms it meets) + (negative terms it misses) = 2^(w-1) + f(V), with N
@@ -287,7 +290,7 @@ def _first_set(terms: dict[int, int], n: int, w: int) -> int:
             _add(shared, bits, c)
         else:
             _add(shared, every ^ bits, -c)
-    for rank in range(cut, stop, -1):
+    for rank in range(cut, stop if split else cut - 1, -1):
         cols = [col[:] for col in shared]
         const = 0
         for part, bits, c in split:
@@ -320,7 +323,7 @@ def check_step(expr: Expr) -> Verdict:
     k variables has no more variables per block, terms or bit positions, so
     it holds no more. CapExceeded is raised before anything is allocated
     when a block's held bytes pass STEP_PLANE_BUDGET, or its streamed bytes
-    times 2^k pass STEP_WORK_BUDGET.
+    times 2^k (once when s = 0) pass STEP_WORK_BUDGET.
     """
     uni = expr.universe
     n = uni.n
@@ -337,9 +340,10 @@ def check_step(expr: Expr) -> Verdict:
         raise CapExceeded(
             f"step check holds {held} bytes at once, over {STEP_PLANE_BUDGET}"
         )
-    if block << k > STEP_WORK_BUDGET:
+    streamed = block << k if s else block
+    if streamed > STEP_WORK_BUDGET:
         raise CapExceeded(
-            f"step check streams {block << k} bytes, over {STEP_WORK_BUDGET}"
+            f"step check streams {streamed} bytes, over {STEP_WORK_BUDGET}"
         )
     terms = positives  # and the negative multiplicities, negated
     for mask, c in negatives.items():
@@ -542,12 +546,9 @@ def _cone_lp(expr: Expr) -> Verdict:
 
 
 def check_polymatroid(expr: Expr) -> Verdict:
-    """Polymatroid validity from the class chain (see `check_per_class`).
-
-    A basic modular or step witness refutes the inequality and a monotone
-    certificate proves it; only what those leave open reaches the cone LP
-    and its variable cap.
-    """
+    """Polymatroid validity: its entry of the class-chain walk, which
+    reaches the cone LP and its variable cap only when nothing cheaper
+    settles the class (see `_walk_chain`)."""
     return _walk_chain(expr)["polymatroid"]
 
 
@@ -663,35 +664,40 @@ def _implied(cls: str, by: str, source: Verdict) -> Verdict:
     )
 
 
-def _walk_chain(expr: Expr) -> dict[str, Verdict]:
-    """The verdict on every decidable class, walking the chain modular <
-    step < polymatroid < monotone.
+def _walk_chain(expr: Expr, upto: str = "polymatroid") -> dict[str, Verdict]:
+    """The verdicts, in chain order, of a walk through modular, monotone,
+    step and polymatroid (the default, so all four) that stops at `upto`.
 
     Invalid on a class is Invalid on every larger one with the same witness:
     a basic modular function is a step function, and a step function is a
     polymatroid. A monotone certificate is a Shannon proof for every smaller
-    class. So the cone LP runs only on step-Valid, monotone-Invalid input.
+    class. On a simple form one simple reduction settles step and
+    polymatroid together. So the cone LP runs only on step-Valid,
+    monotone-Invalid input that is not simple.
     """
     modular = check_modular(expr)
+    per = {"modular": modular}
     if not modular.valid:
-        per = {"modular": modular}
-        for cls in DECIDABLE[1:]:
-            per[cls] = _implied(cls, "modular", modular)
-    else:
-        monotone = check_monotone_fixpoint(expr)
-        if monotone.valid:
-            step = _implied("step", "monotone", monotone)
-            poly = _implied("polymatroid", "monotone", monotone)
+        return per | {c: _implied(c, "modular", modular) for c in DECIDABLE[1:]}
+    if upto == "modular":
+        return per
+    monotone = check_monotone_fixpoint(expr)
+    if monotone.valid:
+        per["step"] = _implied("step", "monotone", monotone)
+        per["polymatroid"] = _implied("polymatroid", "monotone", monotone)
+    elif upto != "monotone":
+        if is_simple_form(expr):
+            simple = check_simple_sigma(expr)
+            for cls in ("step", "polymatroid"):
+                per[cls] = simple._replace(semantics=_CLASS_SEMANTICS[cls])
         else:
-            step = check_step(expr)
-            poly = (
-                _cone_lp(expr) if step.valid
-                else _implied("polymatroid", "step", step)
-            )
-        per = {
-            "modular": modular, "step": step, "polymatroid": poly,
-            "monotone": monotone,
-        }
+            per["step"] = step = check_step(expr)
+            if upto != "step":
+                per["polymatroid"] = (
+                    _cone_lp(expr) if step.valid
+                    else _implied("polymatroid", "step", step)
+                )
+    per["monotone"] = monotone
     return per
 
 
@@ -711,30 +717,24 @@ def check_per_class(expr: Expr) -> Verdict:
 
 
 def check(expr: Expr, semantics: str = "auto") -> Verdict:
-    """Dispatch to the checker for the requested semantics.
+    """The verdict on the requested class.
 
-    'auto' uses the simple-form pipeline when it applies (one verdict for
-    step through polymatroid) and otherwise reports every decidable class
-    through `check_per_class`. 'entropic' is answered only through the
-    simple-form coincidence.
+    A decidable class ('normal' is 'step') is its entry of one walk down the
+    class chain, stopped once it is settled. 'auto' uses the simple-form
+    pipeline when it applies (one verdict for step through polymatroid) and
+    otherwise reports every decidable class through `check_per_class`.
+    'entropic' is answered only through the simple-form coincidence.
     """
-    if semantics == "modular":
-        return check_modular(expr)
-    if semantics in ("step", "normal"):
-        return check_step(expr)
-    if semantics == "polymatroid":
-        return check_polymatroid(expr)
-    if semantics == "monotone":
-        return check_monotone_fixpoint(expr)
-    if semantics == "entropic":
-        if is_simple_form(expr):
-            return check_simple_sigma(expr)
-        raise UnsupportedSemantics(
-            "entropic validity is decided here only for inequalities whose "
-            "right-hand-side sets are singletons or the full universe"
-        )
-    if semantics == "auto":
-        if is_simple_form(expr):
-            return check_simple_sigma(expr)
+    cls = "step" if semantics == "normal" else semantics
+    if cls in DECIDABLE:
+        return _walk_chain(expr, cls)[cls]
+    if cls not in ("auto", "entropic"):
+        raise DomainError(f"unknown semantics {semantics!r}")
+    if is_simple_form(expr):
+        return check_simple_sigma(expr)
+    if cls == "auto":
         return check_per_class(expr)
-    raise DomainError(f"unknown semantics {semantics!r}")
+    raise UnsupportedSemantics(
+        "entropic validity is decided here only for inequalities whose "
+        "right-hand-side sets are singletons or the full universe"
+    )

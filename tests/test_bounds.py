@@ -402,12 +402,20 @@ def one_full_entry(n):
 
 def test_caps():
     # The step bound has no cap of its own: the step checker's budgets are
-    # its only limit, and at 40 variables the time budget refuses.
-    for n in (17, 26):
+    # its only limit. One full entry's weighted form cancels on the first
+    # round, so the check walks one block at any size; h(V0) + h(V1..) >=
+    # h(full) names the first variables, and at 40 the time budget refuses.
+    for n in (17, 26, 40):
         result = logbound_step(*one_full_entry(n))
         assert result.value == 1 and result.weights == (1,)
+    uni = universe(*[f"V{i}" for i in range(40)])
+    query = Query(uni, (("R0", 1), ("R1", uni.full_mask - 1)))
+    sigma = GuardedSigma(uni, (
+        GuardedEntry(conditional(1), 0, Fraction(1)),
+        GuardedEntry(conditional(uni.full_mask - 1), 1, Fraction(1)),
+    ))
     with pytest.raises(CapExceeded, match="streams"):
-        logbound_step(*one_full_entry(40))
+        logbound_step(query, sigma)
 
     n = 11
     uni = universe(*[f"V{i}" for i in range(n)])

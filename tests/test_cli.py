@@ -70,18 +70,22 @@ def test_check_witness_with_coprime_denominators(capsys, tmp_path):
     )
     code, out, _ = run(capsys, "check", str(path), "--class", "monotone",
                        "--witness")
+    # modular-Invalid on A: the walk stops at the basic modular function of
+    # A, the up-set of {A} under the modular label
     assert code == 1
     assert out.splitlines()[:3] == [
         "Invalid over monotone",
-        "witness: monotone 0/1 function, upward closure of {A}",
+        "witness: basic modular function of A",
         "  {A}: 1",
     ]
     code, out, _ = run(capsys, "check", str(path), "--class", "monotone",
                        "--witness", "--json")
     doc = json.loads(out)
     assert code == 1
-    assert doc["witness"]["generators"] == ["{A}"]
-    assert doc["provenance"]["method"] == "fixpoint"
+    assert (doc["witness"]["variable"], doc["witness"]["step_set"]) == (
+        "A", "{A}",
+    )
+    assert doc["provenance"]["method"] == "implied-by-modular"
 
 
 def test_check_certificate_lines(capsys, worked):
@@ -239,6 +243,30 @@ def test_check_auto_past_old_scaling_cap(capsys, tmp_path):
     assert doc["witness"]["kind"] == "boolean_monotone"
 
 
+_FORTY = ",".join(f"V{i}" for i in range(40))
+
+
+@pytest.mark.parametrize("text,cls,method", [
+    (han_text(11), "polymatroid", "simple-reduction"),
+    (han_text(40), "polymatroid", "simple-reduction"),
+    (han_text(40), "step", "simple-reduction"),
+    (f"vars {_FORTY};\nh(V0,V1) >= h(V0)\n", "step", "implied-by-monotone"),
+], ids=["han11-polymatroid", "han40-polymatroid", "han40-step", "mono40-step"])
+def test_check_class_is_its_entry_of_the_walk(capsys, tmp_path, text, cls,
+                                              method):
+    """A named class is answered by the stage of the chain that settles it:
+    past the polymatroid cap and the step check's time budget, the simple
+    reduction and the monotone certificate answer in milliseconds."""
+    path = tmp_path / "walk.ineq"
+    path.write_text(text)
+    code, out, err = run(capsys, "check", str(path), "--class", cls)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"Valid over {cls}")
+    code, out, _ = run(capsys, "check", str(path), "--class", cls, "--json")
+    assert code == 0
+    assert json.loads(out)["provenance"] == {"method": method}
+
+
 def test_check_polymatroid_class_walks_the_chain(capsys, tmp_path, submod):
     path = tmp_path / "step.ineq"
     path.write_text("h(C) + 2*h(A,B,C) >= 2*h(A) + 2*h(B,C)\n")
@@ -251,12 +279,20 @@ def test_check_polymatroid_class_walks_the_chain(capsys, tmp_path, submod):
     assert doc["witness"]["kind"] == "step"
     assert doc["witness"]["step_set"] == "{A,B}"
 
+    # submodularity over exactly X, Y, Z is simple; declared over a fourth
+    # variable it is not, and only the cone LP settles it
     code, out, _ = run(capsys, "check", submod, "--class", "polymatroid",
+                       "--json")
+    assert code == 0
+    assert json.loads(out)["provenance"] == {"method": "simple-reduction"}
+    path = tmp_path / "submod4.ineq"
+    path.write_text("vars X,Y,Z,W;\n" + SUBMOD)
+    code, out, _ = run(capsys, "check", str(path), "--class", "polymatroid",
                        "--json")
     doc = json.loads(out)
     assert code == 0
-    assert doc["provenance"] == {"method": "cone-lp", "lp_rows": 10,
-                                 "lp_cols": 7}
+    assert doc["provenance"] == {"method": "cone-lp", "lp_rows": 29,
+                                 "lp_cols": 15}
 
     path = tmp_path / "mono.ineq"
     path.write_text("2*h(A,B,C,D) + h(A) >= h(A,B) + h(C,D)\n")
@@ -282,12 +318,12 @@ def test_check_polymatroid_class_walks_the_chain(capsys, tmp_path, submod):
 
     # coefficients of 10^19: the step check answers, then the cone LP
     big = 10 ** 19
-    path.write_text(f"{big}*h(A) + {big}*h(B) >= {big}*h(A,B)\n")
+    path.write_text(f"vars A,B,C;\n{big}*h(A) + {big}*h(B) >= {big}*h(A,B)\n")
     code, out, err = run(capsys, "check", str(path), "--class", "polymatroid",
                          "--json")
     assert (code, err) == (0, "")
     assert json.loads(out)["provenance"] == {"method": "cone-lp",
-                                             "lp_rows": 4, "lp_cols": 3}
+                                             "lp_rows": 10, "lp_cols": 7}
 
 
 def test_bound_triangle(capsys, tmp_path):
@@ -705,8 +741,10 @@ def test_failed_self_check_exits_two(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(
         entroplex.validity, "step_function", lambda uni, v: zero_function(uni)
     )
+    # modular-Valid and monotone-Invalid, so the step check's own witness is
+    # the one the tampered step_function breaks
     path = tmp_path / "s2.ineq"
-    path.write_text("h(A) + h(B) >= h(A,B) + 1/2*h(A)\n")
+    path.write_text("h(C) + 2*h(A,B,C) >= 2*h(A) + 2*h(B,C)\n")
     code, out, err = run(capsys, "check", str(path), "--class", "step")
     assert code == 2
     assert out == ""

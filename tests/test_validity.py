@@ -78,6 +78,10 @@ WORKED = make_expr(
 # h(XY) + h(XZ) >= h(X) + h(XYZ)
 SUBMOD = make_expr(U3, {3: 1, 5: 1, 1: -1, 7: -1})
 
+# The same form declared over a fourth variable: h(XYZ) is no longer the full
+# set, so the form is not simple and only the cone LP settles polymatroids.
+SUBMOD4 = make_expr(universe("X", "Y", "Z", "W"), SUBMOD.terms)
+
 
 def assert_witness_sound(expr, verdict):
     assert not verdict.valid
@@ -149,14 +153,20 @@ def test_step_checker_witness_and_scaling():
 
 
 def test_polymatroid_checker():
+    verdict = check_polymatroid(SUBMOD4)
+    assert verdict.valid
+    assert verdict.method == "cone-lp"
+    assert verdict.lp_shape is not None
+    # over exactly X, Y, Z the form is simple: the simple reduction settles
+    # it and no LP runs
     verdict = check_polymatroid(SUBMOD)
     assert verdict.valid
-    assert verdict.lp_shape is not None
+    assert (verdict.method, verdict.lp_shape) == ("simple-reduction", None)
 
     # supermodular spike is monotone-invalid and polymatroid-invalid; a step
-    # function refutes it before the cone LP would run
-    uni = universe("A", "B")
-    expr = make_expr(uni, {3: 1, 1: -1, 2: -1})
+    # function refutes it before the cone LP would run (with {A,B} on the
+    # right-hand side it is not simple, so the step check is what runs)
+    expr = make_expr(universe("A", "B", "C"), {7: 1, 3: -1, 4: -1})
     verdict = check_polymatroid(expr)
     assert verdict.method == "implied-by-step"
     assert verdict.semantics == ("polymatroid",)
@@ -186,7 +196,9 @@ def test_polymatroid_past_step_scaling_cap():
     """Coefficients of 10^19, once past the step check's integer scaling cap:
     the step check answers and the cone LP settles what it leaves open."""
     big = 10 ** 19
-    submod = make_expr(U3, {m: big * c for m, c in SUBMOD.terms.items()})
+    submod = make_expr(
+        SUBMOD4.universe, {m: big * c for m, c in SUBMOD4.terms.items()}
+    )
     assert check_step(submod).valid
     verdict = check_polymatroid(submod)
     assert verdict.valid
@@ -196,7 +208,7 @@ def test_polymatroid_past_step_scaling_cap():
 
     # the scaled supermodular spike: a step function refutes it, and the
     # cone LP alone still finds its own minimizer
-    spike = make_expr(universe("A", "B"), {3: big, 1: -big, 2: -big})
+    spike = make_expr(universe("A", "B", "C"), {7: big, 3: -big, 4: -big})
     verdict = check_polymatroid(spike)
     assert verdict.method == "implied-by-step"
     assert verdict.witness.kind == "step"
@@ -279,12 +291,22 @@ def test_monotone_max_flow_matches_oracles(expr):
 
 
 def test_monotone_witness_beyond_old_scaling_cap():
-    """Coefficients whose common denominator once capped witness recovery."""
+    """Coefficients whose common denominator once capped witness recovery.
+    The form is modular-Invalid on A, so `check` reports the basic modular
+    function of A: the same up-set of {A} under the modular label."""
     for names in ("ABCDE", "ABCDEF"):
         expr = _big_coprime(names)
-        for verdict in (check_monotone_fixpoint(expr), check(expr, "monotone")):
+        fixpoint = check_monotone_fixpoint(expr)
+        chain = check(expr, "monotone")
+        for verdict in (fixpoint, chain):
             assert_witness_sound(expr, verdict)
-            assert verdict.witness.generators == (1,)  # the up-set of {A}
+        assert fixpoint.witness.generators == (1,)  # the up-set of {A}
+        assert chain.method == "implied-by-modular"
+        assert chain.semantics == ("monotone",)
+        assert (chain.witness.kind, chain.witness.variable) == (
+            "basic_modular", "A",
+        )
+        assert chain.witness.function == fixpoint.witness.function
 
 
 def _declared(n, text):
@@ -294,17 +316,19 @@ def _declared(n, text):
 
 def test_monotone_witnesses_at_the_universe_cap_are_lazy():
     """A 4-term simple form and submodularity over 24 and 100 declared
-    variables: the monotone witnesses, the check's own and the failing
-    reduction's, name their up-sets instead of storing 2^n values, and no
-    size cap stands in the way of these polynomial checks."""
+    variables: the monotone witnesses, the basic modular one, the
+    fixpoint's and the failing reduction's, name their up-sets instead of
+    storing 2^n values, and no size cap stands in the way of these
+    polynomial checks."""
     step = ("simple-reduction", "step function on {V0,V1,V3}", (), 0b1011)
     cases = [
         ("h(V0,V1) + h(V2) >= h(V1) + h(V2) + h(V3)", {
             "auto": step,
             "entropic": step,
+            # modular-Invalid on V3: the basic modular function of V3 is
+            # the up-set of {V3} that the fixpoint would return
             "monotone": (
-                "fixpoint", "monotone 0/1 function, upward closure of {V3}",
-                (8,), None,
+                "implied-by-modular", "basic modular function of V3", (), 8,
             ),
         }),
         ("h(V0,V2) + h(V1,V2) >= h(V0,V1,V2) + h(V2)", {
@@ -708,6 +732,11 @@ _STEP_ORDER = [
     # only sets without the first variables fail: the last block, P = {}
     ("the last block", 5, {8: -1, 1: 1, 2: 1, 4: 1}, 0b1000, 8),
     ("Valid: Han's inequality", 6, None, None, 16),
+    # no term names the first variables: every block is alike, and the
+    # first one, P = {0,1,2}, alone runs
+    ("no term on the first variables", 5, {24: 1, 8: -1, 16: -1}, 0b11111, 1),
+    ("Valid: no term on the first variables", 5, {8: 1, 16: 1, 24: -1},
+     None, 1),
 ]
 
 
@@ -745,6 +774,54 @@ def test_step_blocks_in_lexicographic_order(
     assert (verdict.witness.step_set if first else None) == first
     assert verdict.valid == (first is None)
     assert descents.count(1) == blocks
+
+
+@pytest.mark.parametrize("n,walks", [(27, 2), (33, 3), (40, 3)])
+def test_step_walks_one_block_without_terms_on_the_first_variables(
+    monkeypatch, n, walks
+):
+    """Submodularity and a supermodular spike on the last variables of n:
+    no term names one of the first n - 15, so each walk, the outer one and
+    those over the sets of the first variables, runs one block, and the
+    time budget counts one. All 2^(n-15) blocks would take seconds at 33
+    and pass the budget at 40. The spike fails exactly on the sets that
+    hold its last two variables, first of all on the full set."""
+    cases = [
+        ("h(Va,Vc) + h(Vb,Vc) >= h(Va,Vb,Vc) + h(Vc)", True),
+        ("h(Vb,Vc) >= h(Vb) + h(Vc)", False),
+    ]
+    descend = validity._first_failing
+    descents = []
+    monkeypatch.setattr(
+        validity, "_first_failing", lambda *a: descents.append(a) or descend(*a)
+    )
+    for text, valid in cases:
+        for name, i in (("Va", n - 3), ("Vb", n - 2), ("Vc", n - 1)):
+            text = text.replace(name, f"V{i}")
+        expr = _declared(n, text)
+        descents.clear()
+        verdict = check_step(expr)
+        assert len(descents) == walks
+        assert verdict.valid == valid
+        assert valid or verdict.witness.step_set == expr.universe.full_mask
+        assert check(expr, "step").valid == valid
+
+
+def test_step_wide_multiplicities_add_in_linear_time():
+    """30 random masks over 8 variables with 20,000-bit multiplicities: the
+    carry-save add walks its columns by index, not by copying the O(w)
+    columns above each of the ~300,000 set bits, which took about 12 s."""
+    rng = random.Random(5)
+    uni = universe(*[f"V{i}" for i in range(8)])
+    expr = make_expr(uni, {
+        rng.randint(1, uni.full_mask):
+        rng.choice((-1, 1)) * (1 << 19_999 | rng.getrandbits(19_999))
+        for _ in range(30)
+    })
+    start = time.perf_counter()
+    verdict = check_step(expr)
+    assert time.perf_counter() - start < 3
+    assert verdict.witness.step_set == step_first_failing(expr) == 1
 
 
 def test_step_random_terms_answered_before_any_block():
@@ -839,6 +916,9 @@ def assert_chain_matches_standalone(expr, verdict):
         elif sub.method.startswith("implied-by-"):
             assert sub.certificate.recombine().terms == expr.terms
     assert check_polymatroid(expr) == per["polymatroid"]
+    for cls in DECIDABLE:  # each class is its entry of the one walk
+        assert check(expr, cls) == per[cls], cls
+    assert check(expr, "normal") == per["step"]
     assert verdict.valid == per["monotone"].valid
     if verdict.valid:
         assert verdict.certificate.recombine().terms == expr.terms
@@ -861,11 +941,16 @@ def chain_exprs(draw):
 @settings(max_examples=300, deadline=None)
 @example(make_expr(universe("A"), {}))
 @example(make_expr(universe(*"ABCD"), {}))
-@example(SUBMOD)  # step-Valid, monotone-Invalid, polymatroid-Valid
+@example(SUBMOD4)  # step-Valid, monotone-Invalid, polymatroid-Valid
 @example(parse_inequality("Im(A,B,C) >= 0"))  # polymatroid-Invalid by the LP
 @example(parse_inequality("h(C) + 2*h(A,B,C) >= 2*h(A) + 2*h(B,C)"))  # step
 @example(parse_inequality("h(A,B) >= 2*h(A,C)"))  # modular-Invalid
 @example(parse_inequality("2*h(A,B,C,D) >= h(A,B) + h(C,D)"))  # monotone-Valid
+# simple and monotone-Invalid, so the simple reduction settles step and
+# polymatroid: Valid, Valid, and Invalid with a step witness
+@example(SUBMOD)
+@example(parse_inequality(han_text(3)))
+@example(parse_inequality("h(A,B) >= h(A) + h(B)"))
 def test_chain_matches_standalone_checkers(expr):
     assert_chain_matches_standalone(expr, check_per_class(expr))
 
@@ -935,7 +1020,9 @@ def test_int_coefficients_match_fraction_coefficients(case):
 
 
 def test_chain_runs_lp_only_when_needed(monkeypatch):
-    """The cone LP runs exactly for the step-Valid, monotone-Invalid inputs."""
+    """The cone LP runs exactly for the step-Valid, monotone-Invalid inputs
+    that are not simple: on a simple form the simple reduction settles
+    polymatroid validity instead."""
     lp_inputs = []
     cone_lp = validity._cone_lp
 
@@ -943,23 +1030,31 @@ def test_chain_runs_lp_only_when_needed(monkeypatch):
         lp_inputs.append(expr)
         return cone_lp(expr)
 
+    def open_after_step(e):
+        return check_step(e).valid and not check_monotone_fixpoint(e).valid
+
     rng = random.Random(5)
     uni = universe("A", "B", "C")
-    exprs = [rand_expr(rng, uni) for _ in range(600)]
-    exprs = [e for e in exprs if not is_simple_form(e)]
-    needed = [
-        e for e in exprs if check_step(e).valid
-        and not check_monotone_fixpoint(e).valid
-    ]
+    drawn = [rand_expr(rng, uni) for _ in range(600)]
+    exprs = [e for e in drawn if not is_simple_form(e)]
+    simple = [e for e in drawn if is_simple_form(e)]
+    needed = [e for e in exprs if open_after_step(e)]
     monkeypatch.setattr(validity, "_cone_lp", counting)
     verdicts = [check(expr) for expr in exprs]
-    direct_inputs, lp_inputs = lp_inputs, []
+    auto_inputs = lp_inputs[:]
+    lp_inputs.clear()
     for expr in exprs:
         check_polymatroid(expr)
-    direct_inputs, lp_inputs = lp_inputs, direct_inputs
+    direct_inputs = lp_inputs[:]
+    lp_inputs.clear()
+    for expr in simple:
+        check_polymatroid(expr)
+        check(expr, "polymatroid")
     monkeypatch.undo()
     assert 0 < len(needed) < len(exprs)
-    assert [e.terms for e in lp_inputs] == [e.terms for e in needed]
+    assert any(open_after_step(e) for e in simple)
+    assert lp_inputs == []
+    assert [e.terms for e in auto_inputs] == [e.terms for e in needed]
     assert [e.terms for e in direct_inputs] == [e.terms for e in needed]
     for expr, verdict in zip(exprs, verdicts):
         assert verdict.method == "per-class"
