@@ -70,8 +70,10 @@ def _split_names(text: str) -> list[str]:
 
 
 def _is_identifier(name: str) -> bool:
-    if not name:
-        return False
+    """A letter or `_`, then letters, digits and `_`. On ASCII names that
+    is Python's identifier rule."""
+    if name.isascii():
+        return name.isidentifier()
     head, tail = name[0], name[1:]
     if not (head.isalpha() or head == "_"):
         return False

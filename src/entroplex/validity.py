@@ -122,14 +122,21 @@ def _verified_witness(expr: Expr, witness: Witness) -> Witness:
 
 
 def check_modular(expr: Expr) -> Verdict:
-    """Valid iff the inequality holds on every basic modular function."""
+    """Valid iff the inequality holds on every basic modular function: each
+    term adds its coefficient to the sum of every variable it names, and
+    the first variable whose sum is negative is the witness."""
     uni = expr.universe
-    for i, name in enumerate(uni.names):
-        bit = 1 << i
-        value = sum(c for mask, c in expr.terms.items() if mask & bit)
+    sums = [0] * uni.n
+    for mask, c in expr.terms.items():
+        while mask:
+            bit = mask & -mask
+            sums[bit.bit_length() - 1] += c
+            mask ^= bit
+    for i, value in enumerate(sums):
         if value < 0:
+            name = uni.names[i]
             witness = Witness(
-                "basic_modular", basic_modular(uni, name), step_set=bit,
+                "basic_modular", basic_modular(uni, name), step_set=1 << i,
                 variable=name,
             )
             return Verdict(
@@ -151,10 +158,13 @@ STEP_PLANE_BUDGET = 369_104_384
 STEP_WORK_BUDGET = 1 << 36
 
 
-def _patterns(m: int) -> list[int]:
-    """has[i]: the subsets of m variables that contain variable i, as one
-    2^m-bit integer."""
+@functools.cache
+def _patterns(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(has, miss): has[i] is the subsets of m variables that contain
+    variable i, as one 2^m-bit integer, and miss[i] those that do not.
+    Built once per process for each m and only read afterwards."""
     size = 1 << m
+    every = (1 << size) - 1
     has = []
     for i in range(m):
         half = 1 << i
@@ -163,10 +173,10 @@ def _patterns(m: int) -> list[int]:
             pattern |= pattern << period
             period <<= 1
         has.append(pattern)
-    return has
+    return tuple(has), tuple(every ^ pattern for pattern in has)
 
 
-def _hit(has: list[int], part: int) -> int:
+def _hit(has: tuple[int, ...], part: int) -> int:
     """The bitmap of the sets that meet part."""
     out = 0
     while part:
@@ -176,26 +186,40 @@ def _hit(has: list[int], part: int) -> int:
     return out
 
 
+def _missed(miss: tuple[int, ...], part: int, every: int) -> int:
+    """The bitmap of the sets that miss part."""
+    out = every
+    while part:
+        bit = part & -part
+        out &= miss[bit.bit_length() - 1]
+        part ^= bit
+    return out
+
+
 def _add(cols: list[list[int]], x: int, times: int) -> None:
     """Add bitmap x `times` times to a carry-save sum: cols[j] holds at most
     two bitmaps of weight 2^j. A third one goes through a full adder that
     leaves the sum in column j and carries into column j + 1. Every set's
     value stays below 2^w, so nothing carries out of the top column."""
-    for j in range(times.bit_length()):
-        if times >> j & 1:
-            c = x
-            for i in range(j, len(cols)):  # a slice would copy O(w) per bit
-                col = cols[i]
-                if len(col) < 2:
-                    col.append(c)
-                    break
-                a, b = col
-                t = a ^ b
-                col[:] = (t ^ c,)
-                c = (a & b) | (c & t)
+    while times:  # once per set bit, at its column
+        bit = times & -times
+        times ^= bit
+        c = x  # walked by index: a slice of cols would copy O(w) per bit
+        for i in range(bit.bit_length() - 1, len(cols)):
+            col = cols[i]
+            if len(col) < 2:
+                col.append(c)
+                break
+            a, b = col
+            t = a ^ b
+            col.pop()
+            col[0] = t ^ c
+            c = (a & b) | (c & t)
 
 
-def _first_failing(cols: list[list[int]], has: list[int], every: int) -> int:
+def _first_failing(
+    cols: list[list[int]], miss: tuple[int, ...], every: int
+) -> int:
     """The lexicographically first nonempty set whose top bit is clear, or 0.
 
     One ripple over the columns gives the top plane. The descent then walks
@@ -216,8 +240,8 @@ def _first_failing(cols: list[list[int]], has: list[int], every: int) -> int:
     v = 0
     if negative >> 1:
         below = every
-        for i, pattern in enumerate(has):
-            below ^= below & pattern
+        for i, pattern in enumerate(miss):
+            below &= pattern
             m = v | 1 << i
             if negative >> m & below:
                 v = m
@@ -253,7 +277,10 @@ def _first_set(terms: dict[int, int], n: int, w: int) -> int:
     Every set's value is kept as the w-bit number 2^(w-1) - N + (positive
     terms it meets) + (negative terms it misses) = 2^(w-1) + f(V), with N
     the negative total, summed bit-sliced in carry-save form, so the top
-    bit plane is clear exactly on the failing sets. A term that names none
+    bit plane is clear exactly on the failing sets. A positive term's
+    bitmap is the OR of has[i] over its variables past the first k, and a
+    negative term's the AND of miss[i]; the has/miss patterns of each low
+    are built once per process and only read. A term that names none
     of the first k variables has the same bitmap in every block, so those
     terms are summed once into shared columns. Each block copies them and
     adds the other terms: one that meets P adds its multiplicity as a
@@ -278,18 +305,22 @@ def _first_set(terms: dict[int, int], n: int, w: int) -> int:
     if stop == cut:
         return first
     every = (1 << (1 << low)) - 1
-    has = _patterns(low)
+    has, miss = _patterns(low)
     start = (1 << (w - 1)) + sum(c for c in terms.values() if c < 0)
     shared = [[every] if start >> j & 1 else [] for j in range(w)]
-    split = []  # (first part bit-reversed, the rest's bitmap, multiplicity)
+    # A negative term on the first k variables alone keeps bitmap 0, as a
+    # positive one does: a block that misses its first part adds a constant.
+    split = []  # (first part bit-reversed, bitmap, multiplicity)
     for mask, c in terms.items():
-        bits = _hit(has, mask >> k)
+        rest = mask >> k
+        if c > 0:
+            bits = _hit(has, rest)
+        else:
+            bits = _missed(miss, rest, every) if rest else 0
         if mask & cut:
             split.append((_reversed(mask & cut, k), bits, c))
-        elif c > 0:
-            _add(shared, bits, c)
         else:
-            _add(shared, every ^ bits, -c)
+            _add(shared, bits, abs(c))
     for rank in range(cut, stop if split else cut - 1, -1):
         cols = [col[:] for col in shared]
         const = 0
@@ -298,13 +329,11 @@ def _first_set(terms: dict[int, int], n: int, w: int) -> int:
                 const += max(c, 0)
             elif not bits:  # and here it meets none
                 const += max(-c, 0)
-            elif c > 0:
-                _add(cols, bits, c)
             else:
-                _add(cols, every ^ bits, -c)
+                _add(cols, bits, abs(c))
         if const:
             _add(cols, every, const)
-        v = _first_failing(cols, has, every)
+        v = _first_failing(cols, miss, every)
         if v:
             return _reversed(rank, k) | v << k
     return first
@@ -316,7 +345,9 @@ def check_step(expr: Expr) -> Verdict:
 
     _first_set walks the sets in blocks of 2^low, low = min(n, _STEP_LOW),
     one per set of the first k = n - low variables. A block streams
-    2(low + w) bitmaps of 2^low bits and one more, with 512 bytes for its
+    2(low + w) bitmaps of 2^low bits: the low has and low miss patterns,
+    built once per process per low and reused read-only, and up to 2w
+    shared columns. It streams one more, with 512 bytes for its
     tuple and digits, for each of the s terms that name one of the first k
     variables; when s > 0 it also holds 2w column bitmaps of its own beside
     the shared ones. The walk that finds the first failing set of the first

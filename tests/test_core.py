@@ -4,6 +4,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entroplex import (
     DomainError,
@@ -19,7 +21,7 @@ from entroplex import (
     mutual_info,
     universe,
 )
-from entroplex.core import set_representation
+from entroplex.core import _is_identifier, set_representation
 
 
 def test_universe_basics():
@@ -45,6 +47,34 @@ def test_universe_rejects_bad_names():
         uni.index("B")
     with pytest.raises(DomainError):
         uni.names_of(4)
+
+
+def _name_rule(name):
+    """A variable name: a letter or `_`, then letters, digits and `_`, with
+    letters and digits as str.isalpha and str.isalnum read them."""
+    return bool(name) and (name[0].isalpha() or name[0] == "_") and all(
+        c.isalnum() or c == "_" for c in name[1:]
+    )
+
+
+@given(st.one_of(st.text(), st.text(st.characters(max_codepoint=127))))
+@settings(max_examples=500, deadline=None)
+@example("")
+@example("_")
+@example("x\u00b2")  # isalnum, but not an identifier character
+@example("\u00aa1")
+@example("A\u0660")
+@example("\u2160")
+def test_name_check_is_the_character_class_rule(name):
+    """ASCII names take str.isidentifier, which is the same rule there;
+    other names keep the character-class loop. Universe accepts exactly
+    the names the rule accepts."""
+    assert _is_identifier(name) == _name_rule(name)
+    if _name_rule(name):
+        assert universe(name).names == (name,)
+    else:
+        with pytest.raises(DomainError, match="invalid variable name"):
+            universe(name)
 
 
 def test_entropy_and_conditional_expansion():

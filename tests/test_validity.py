@@ -141,6 +141,43 @@ def test_modular_checker_witness():
     assert check_modular(make_expr(uni, {1: 2, 2: 1})).valid
 
 
+def _first_negative_variable(expr):
+    """The variable check_modular summed each term into before it summed per
+    term: the first whose coefficients over the terms that name it have a
+    negative total, or None."""
+    for i in range(expr.universe.n):
+        if sum(c for mask, c in expr.terms.items() if mask >> i & 1) < 0:
+            return i
+    return None
+
+
+def test_modular_sums_per_term():
+    """Summing each term into the variables it names gives the verdict of
+    modular_brute and the witness of the per-variable sums: random forms
+    over up to 8 variables, and forms over 100 declared variables with
+    submodularity on V0-V2, a failing variable past V63 and both signs."""
+    rng = random.Random(27)
+    cases = []
+    for _ in range(300):
+        uni = universe(*[f"V{i}" for i in range(rng.randint(1, 8))])
+        cases.append(rand_expr(rng, uni))
+    cases += [
+        _declared(100, "h(V0,V2) + h(V1,V2) >= h(V0,V1,V2) + h(V2)"),
+        _declared(100, "h(V0,V1) + 4*h(V70) >= h(V70,V99) + 3*h(V70,V71)"),
+        _declared(100, "h(V5,V99) >= h(V99)"),
+    ]
+    for expr in cases:
+        verdict = check_modular(expr)
+        first = _first_negative_variable(expr)
+        assert verdict.valid == modular_brute(expr) == (first is None)
+        if first is not None:
+            assert_witness_sound(expr, verdict)
+            assert verdict.witness.step_set == 1 << first
+            assert verdict.witness.variable == expr.universe.names[first]
+    assert [check_modular(e).valid for e in cases[-3:]] == [True, False, True]
+    assert check_modular(cases[-2]).witness.variable == "V71"
+
+
 def test_step_checker_witness_and_scaling():
     uni = universe("A", "B")
     expr = make_expr(uni, {1: Fraction(1, 2), 3: Fraction(-2, 3)})
@@ -832,6 +869,37 @@ def test_step_random_terms_answered_before_any_block():
     verdict = check_step(expr)
     assert time.perf_counter() - start < 0.2
     assert verdict.witness.step_set == 1
+
+
+def test_step_first_pass_settles_before_any_bitmap(monkeypatch):
+    """30 random terms over 30 variables fail at {V0}, which settles the
+    walk over the sets of the first 15 variables: the outermost walk then
+    builds no term bitmap and adds nothing, while the inner walks do."""
+    expr = _rand_terms(random.Random(30), 30)
+    depth = [0]
+    made = []  # (the depth of the walk, the bitmap call)
+    walk = validity._first_set
+
+    def nested(*args):
+        depth[0] += 1
+        try:
+            return walk(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(validity, "_first_set", nested)
+    for name in ("_hit", "_missed", "_add"):
+        kernel = getattr(validity, name)
+        monkeypatch.setattr(
+            validity, name,
+            lambda *a, kernel=kernel, name=name: (
+                made.append((depth[0], name)) or kernel(*a)
+            ),
+        )
+    verdict = check_step(expr)
+    assert verdict.witness.step_set == 1
+    assert not [call for call in made if call[0] == 1]
+    assert {name for d, name in made if d > 1} == {"_hit", "_missed", "_add"}
 
 
 def test_step_peak_flat_past_one_block():
