@@ -8,7 +8,7 @@ the single floating-point surface and live in their own type.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from typing import Iterator
 
@@ -105,6 +105,25 @@ class UpSetValues(_Record, Sequence):
             if g & mask == g:
                 return _ONE
         return _ZERO
+
+    def form_value(self, terms: Mapping[int, Rat]) -> Rat:
+        """The value of the linear form with these terms here, exactly: the
+        sum of the coefficients of the masks this function lights. Int
+        coefficients are summed as ints and the others per denominator, so
+        no term costs a Fraction."""
+        singles, larger = self.singles, self.larger
+        total = 0
+        sums: dict[int, int] = {}  # denominator -> numerator sum
+        for mask, coeff in terms.items():
+            if mask & singles or larger and any(g & mask == g for g in larger):
+                if type(coeff) is int:
+                    total += coeff
+                else:
+                    den = coeff.denominator
+                    sums[den] = sums.get(den, 0) + coeff.numerator
+        for den, num in sums.items():
+            total += Fraction(num, den)
+        return total
 
 
 def from_values(uni: Universe, values: Sequence[Rat]) -> SetFunction:

@@ -10,7 +10,6 @@ The oracles are deliberately brute force so round-trips are independent.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .core import (
@@ -18,10 +17,8 @@ from .core import (
     DomainError,
     Expr,
     Universe,
-    _inclusion_exclusion,
     _Record,
     _set_field,
-    make_expr,
 )
 
 if TYPE_CHECKING:
@@ -116,6 +113,16 @@ class PartitionInstance(_Record):
         return (self.items,)
 
 
+def _bits(uni: Universe) -> dict[str, int]:
+    """Each name's bit in the universe."""
+    return {name: 1 << i for i, name in enumerate(uni.names)}
+
+
+def _nonzero(uni: Universe, acc: dict[int, int]) -> Expr:
+    """The expression of acc's nonzero int terms, in acc's order."""
+    return Expr(uni, {mask: c for mask, c in acc.items() if c})
+
+
 def from_3dmonsat(phi: MonSat3Instance) -> Expr:
     """Sum of h(X|C) over positive clauses plus the triple mutual
     information of each negative clause, against h(X).
@@ -126,15 +133,22 @@ def from_3dmonsat(phi: MonSat3Instance) -> Expr:
     and then singleton assignments satisfy the instance anyway.
     """
     uni = Universe(tuple(sorted(phi.variables)))
-    full = uni.full_mask
-    acc: dict[int, int] = defaultdict(int, {full: -1})
+    bit = _bits(uni)
+    acc = {uni.full_mask: len(phi.positive) - 1}
     for clause in phi.positive:
-        acc[full] += 1
-        acc[uni.mask(clause)] -= 1
+        a, b, c = clause
+        m = bit[a] | bit[b] | bit[c]
+        acc[m] = acc.get(m, 0) - 1
     for clause in phi.negative:
-        for mask, sign in _inclusion_exclusion(uni.mask(clause)):
-            acc[mask] += sign
-    return make_expr(uni, acc)
+        # I(C)'s h-terms in core._inclusion_exclusion's order, largest set
+        # first, + on odd sizes and - on even; x < y < z are C's bits
+        x, y, z = sorted(bit[v] for v in clause)
+        for m, sign in (
+            (x | y | z, 1), (y | z, -1), (x | z, -1), (z, 1),
+            (x | y, -1), (y, 1), (x, 1),
+        ):
+            acc[m] = acc.get(m, 0) + sign
+    return _nonzero(uni, acc)
 
 
 def from_3coloring(g: Graph) -> Expr:
@@ -146,22 +160,21 @@ def from_3coloring(g: Graph) -> Expr:
     forbid giving a vertex two colors or an edge one, read through the
     complement of the failing step set.
     """
-    names = sorted(f"{v}_{c}" for v in g.vertices for c in COLORS)
-    uni = Universe(tuple(names))
-    full = uni.full_mask
+    uni = Universe(tuple(sorted(f"{v}_{c}" for v in g.vertices for c in COLORS)))
+    bit = _bits(uni)
     weight = 2 * len(g.vertices) + 1
-    acc: dict[int, int] = defaultdict(int, {full: -weight})
+    # h(X | pair) once per ordered color pair of a vertex, once per color
+    # of an edge, against h(X): the singletons and pairs are all distinct
+    blocks = 6 * len(g.vertices) + 3 * len(g.edges)
+    acc = {uni.full_mask: weight * (blocks - 1)}
     for v in g.vertices:
-        for c in COLORS:
-            acc[uni.mask([f"{v}_{c}"])] += 1
-        for c, d in itertools.permutations(COLORS, 2):
-            acc[full] += weight
-            acc[uni.mask([f"{v}_{c}", f"{v}_{d}"])] -= weight
+        red, green, blue = (bit[f"{v}_{c}"] for c in COLORS)
+        acc[red] = acc[green] = acc[blue] = 1
+        acc[red | green] = acc[red | blue] = acc[green | blue] = -2 * weight
     for a, b in g.edges:
         for c in COLORS:
-            acc[full] += weight
-            acc[uni.mask([f"{a}_{c}", f"{b}_{c}"])] -= weight
-    return make_expr(uni, acc)
+            acc[bit[f"{a}_{c}"] | bit[f"{b}_{c}"]] = -weight
+    return _nonzero(uni, acc)
 
 
 def from_partition(inst: PartitionInstance) -> Expr:
@@ -177,18 +190,15 @@ def from_partition(inst: PartitionInstance) -> Expr:
     if m % 2:
         raise DomainError("total sum must be even")
     uni = Universe(tuple(f"A{i + 1}" for i in range(len(items))))
-    bound = (m // 2) ** 2 - 1
-    acc: dict[int, int] = defaultdict(int)
-    if uni.full_mask:
-        acc[uni.full_mask] = bound
+    acc = {uni.full_mask: (m // 2) ** 2 - 1}
     for i, j in itertools.combinations(range(len(items)), 2):
         x = items[i] * items[j]
         a, b = 1 << i, 1 << j
         # x(h(Ai|Aj) + h(Aj|Ai)) = x(2 h(AiAj) - h(Ai) - h(Aj))
-        acc[a] += x
-        acc[b] += x
-        acc[a | b] -= 2 * x
-    return make_expr(uni, acc)
+        acc[a] = acc.get(a, 0) + x
+        acc[b] = acc.get(b, 0) + x
+        acc[a | b] = acc.get(a | b, 0) - 2 * x
+    return _nonzero(uni, acc)
 
 
 def assignment_satisfies(phi: MonSat3Instance, true_vars: frozenset) -> bool:

@@ -115,7 +115,13 @@ class Verdict(NamedTuple):
 
 
 def _verified_witness(expr: Expr, witness: Witness) -> Witness:
-    value = evaluate(expr, witness.function)
+    """The witness, once its exact value on the form is negative. A 0/1
+    up-set witness's value is the sum of the coefficients it lights."""
+    values = witness.function.values
+    if isinstance(values, UpSetValues):
+        value = values.form_value(expr.terms)
+    else:
+        value = evaluate(expr, witness.function)
     if value >= 0:  # formatted only on failure: a value may pass 4,300 digits
         self_check(False, f"witness evaluates to {value}, expected negative")
     return witness
@@ -282,11 +288,14 @@ def _first_set(terms: dict[int, int], n: int, w: int) -> int:
     negative term's the AND of miss[i]; the has/miss patterns of each low
     are built once per process and only read. A term that names none
     of the first k variables has the same bitmap in every block, so those
-    terms are summed once into shared columns. Each block copies them and
-    adds the other terms: one that meets P adds its multiplicity as a
-    constant if positive and nothing if negative, and one that misses P
-    acts as its part past the first k variables does. The constants are
-    added once per block, as the all-ones bitmap.
+    terms are summed once into shared columns; where many of them share a
+    multiplicity, their bitmaps are first counted in a small carry-save sum
+    of their own, and its planes are added at the multiplicity's set bits.
+    Each block copies the shared columns and adds the other terms: one that
+    meets P adds its multiplicity as a constant if positive and nothing if
+    negative, and one that misses P acts as its part past the first k
+    variables does. The constants are added once per block, as the
+    all-ones bitmap.
     """
     low = min(n, _STEP_LOW)
     k = n - low
@@ -311,16 +320,32 @@ def _first_set(terms: dict[int, int], n: int, w: int) -> int:
     # A negative term on the first k variables alone keeps bitmap 0, as a
     # positive one does: a block that misses its first part adds a constant.
     split = []  # (first part bit-reversed, bitmap, multiplicity)
+    alike: dict[int, list[int]] = {}  # multiplicity -> shared terms' parts
     for mask, c in terms.items():
         rest = mask >> k
-        if c > 0:
-            bits = _hit(has, rest)
-        else:
-            bits = _missed(miss, rest, every) if rest else 0
         if mask & cut:
+            if c > 0:
+                bits = _hit(has, rest)
+            else:
+                bits = _missed(miss, rest, every) if rest else 0
             split.append((_reversed(mask & cut, k), bits, c))
         else:
-            _add(shared, bits, abs(c))
+            alike.setdefault(c, []).append(rest)
+    for c, parts in alike.items():
+        # m bitmaps at multiplicity c cost m·ones adds one by one. Counted
+        # first, in columns up to bit_length(m) that no count can overflow,
+        # they cost m adds and at most 2·bit_length(m) planes at c's bits.
+        times, m = abs(c), len(parts)
+        ones = times.bit_count()
+        count = m * ones > m + 2 * m.bit_length() * ones
+        cols = [[] for _ in range(m.bit_length())] if count else shared
+        for rest in parts:  # each bitmap made just before it is added
+            bits = _hit(has, rest) if c > 0 else _missed(miss, rest, every)
+            _add(cols, bits, 1 if count else times)
+        if count:
+            for i, col in enumerate(cols):
+                for x in col:
+                    _add(shared, x, times << i)
     for rank in range(cut, stop if split else cut - 1, -1):
         cols = [col[:] for col in shared]
         const = 0
@@ -347,14 +372,18 @@ def check_step(expr: Expr) -> Verdict:
     one per set of the first k = n - low variables. A block streams
     2(low + w) bitmaps of 2^low bits: the low has and low miss patterns,
     built once per process per low and reused read-only, and up to 2w
-    shared columns. It streams one more, with 512 bytes for its
-    tuple and digits, for each of the s terms that name one of the first k
-    variables; when s > 0 it also holds 2w column bitmaps of its own beside
-    the shared ones. The walk that finds the first failing set of the first
-    k variables has no more variables per block, terms or bit positions, so
-    it holds no more. CapExceeded is raised before anything is allocated
-    when a block's held bytes pass STEP_PLANE_BUDGET, or its streamed bytes
-    times 2^k (once when s = 0) pass STEP_WORK_BUDGET.
+    shared columns. It streams one more, with 512 bytes for its tuple and
+    digits, for each of the s terms that name one of the first k
+    variables, and adds it once per set bit of the term's multiplicity;
+    when s > 0 it also holds 2w column bitmaps of its own beside the shared
+    ones. The other terms are added once, before the blocks, one bitmap per
+    set bit of each multiplicity at most: a count of the t terms' bitmaps
+    holds up to 2·bit_length(t) more. The walk that finds the first failing
+    set of the first k variables has no more variables per block, terms or
+    bit positions, so it holds no more. CapExceeded is raised before
+    anything is allocated when a block's held bytes pass STEP_PLANE_BUDGET,
+    or the streamed bytes pass STEP_WORK_BUDGET: a block's times 2^k (once
+    when s = 0), and the shared terms' added bitmaps once.
     """
     uni = expr.universe
     n = uni.n
@@ -363,15 +392,21 @@ def check_step(expr: Expr) -> Verdict:
     low = min(n, _STEP_LOW)
     k = n - low
     cut = (1 << k) - 1
-    s = sum(1 for mask in expr.terms if mask & cut)
+    s = once = each = 0  # split terms; set bits added once and per block
+    for mask, c in (*positives.items(), *negatives.items()):
+        if mask & cut:
+            s += 1
+            each += c.bit_count()
+        else:
+            once += c.bit_count()
     plane = (1 << low) // 8 + 32
     block = (2 * (low + w) + s) * plane + 512 * s
-    held = block + 2 * w * plane if s else block
+    held = block + 2 * (len(expr.terms).bit_length() + (w if s else 0)) * plane
     if held > STEP_PLANE_BUDGET:
         raise CapExceeded(
             f"step check holds {held} bytes at once, over {STEP_PLANE_BUDGET}"
         )
-    streamed = block << k if s else block
+    streamed = ((block + each * plane) << k if s else block) + once * plane
     if streamed > STEP_WORK_BUDGET:
         raise CapExceeded(
             f"step check streams {streamed} bytes, over {STEP_WORK_BUDGET}"

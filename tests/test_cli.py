@@ -18,7 +18,7 @@ from entroplex import (
     universe,
 )
 from entroplex.cli import main
-from helpers import cyclic_text, han_text, peak_bytes
+from helpers import cyclic_text, han_text, load_bench, peak_bytes
 
 WORKED = "h(X,Y) + h(Y,Z) + 2*h(X,Z) + h(X) >= h(Y) + 3*h(Z)\n"
 SUBMOD = "h(X,Y) + h(X,Z) >= h(X) + h(X,Y,Z)\n"
@@ -412,6 +412,46 @@ def test_reduce_to_stdout_and_file(capsys, tmp_path):
     part.write_text("1 3\n")
     code, out, _ = run(capsys, "reduce", "partition", str(part))
     assert code == 0 and "A1" in out
+
+
+# `entroplex reduce` on the inputs of README's three examples, byte for byte.
+_REDUCED = [
+    ("monsat3", "phi.cnf", (
+        "h(x1) + h(x2) + h(x3) + h(x4) + h(x1,x2,x4) + h(x5) + h(x6) + "
+        "h(x3,x5,x6) + h(x1,x2,x3,x4,x5,x6) >= h(x1,x2) + h(x1,x2,x3) + "
+        "h(x1,x4) + h(x2,x4) + h(x3,x5) + h(x3,x6) + h(x5,x6) + h(x4,x5,x6)\n"
+    )),
+    ("coloring", "graph.col", (
+        "h(v1_b) + h(v1_g) + h(v1_r) + h(v2_b) + h(v2_g) + h(v2_r) + "
+        "h(v3_b) + h(v3_g) + h(v3_r) + h(v4_b) + h(v4_g) + h(v4_r) + "
+        "h(v5_b) + h(v5_g) + h(v5_r) + "
+        "484*h(v1_b,v1_g,v1_r,v2_b,v2_g,v2_r,v3_b,v3_g,v3_r,v4_b,v4_g,v4_r,v5_b,v5_g,v5_r) "
+        ">= 22*h(v1_b,v1_g) + 22*h(v1_b,v1_r) + 22*h(v1_g,v1_r) + "
+        "11*h(v1_b,v2_b) + 11*h(v1_g,v2_g) + 22*h(v2_b,v2_g) + "
+        "11*h(v1_r,v2_r) + 22*h(v2_b,v2_r) + 22*h(v2_g,v2_r) + "
+        "11*h(v2_b,v3_b) + 11*h(v2_g,v3_g) + 22*h(v3_b,v3_g) + "
+        "11*h(v2_r,v3_r) + 22*h(v3_b,v3_r) + 22*h(v3_g,v3_r) + "
+        "11*h(v3_b,v4_b) + 11*h(v3_g,v4_g) + 22*h(v4_b,v4_g) + "
+        "11*h(v3_r,v4_r) + 22*h(v4_b,v4_r) + 22*h(v4_g,v4_r) + "
+        "11*h(v1_b,v5_b) + 11*h(v4_b,v5_b) + 11*h(v1_g,v5_g) + "
+        "11*h(v4_g,v5_g) + 22*h(v5_b,v5_g) + 11*h(v1_r,v5_r) + "
+        "11*h(v4_r,v5_r) + 22*h(v5_b,v5_r) + 22*h(v5_g,v5_r)\n"
+    )),
+    ("partition", "nums.txt", (
+        "21*h(A1) + 9*h(A2) + 9*h(A3) + 16*h(A4) + 16*h(A5) + 9*h(A6) + "
+        "24*h(A1,A2,A3,A4,A5,A6) >= 6*h(A1,A2) + 6*h(A1,A3) + 2*h(A2,A3) + "
+        "12*h(A1,A4) + 4*h(A2,A4) + 4*h(A3,A4) + 12*h(A1,A5) + 4*h(A2,A5) + "
+        "4*h(A3,A5) + 8*h(A4,A5) + 6*h(A1,A6) + 2*h(A2,A6) + 2*h(A3,A6) + "
+        "4*h(A4,A6) + 4*h(A5,A6)\n"
+    )),
+]
+
+
+@pytest.mark.parametrize("kind,file,expected", _REDUCED, ids=[k for k, _, _ in _REDUCED])
+def test_reduce_readme_examples_output(capsys, tmp_path, kind, file, expected):
+    path = tmp_path / file
+    path.write_text(load_bench("workloads").CLI_FILES[file])
+    assert run(capsys, "reduce", kind, str(path)) == (0, expected, "")
 
 
 def test_reduce_coloring_past_24_variables(capsys, tmp_path):

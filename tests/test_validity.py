@@ -48,7 +48,8 @@ from entroplex import (
     universe,
 )
 import entroplex.validity as validity
-from entroplex.core import Expr, set_representation
+from entroplex.core import ConsistencyError, Expr, set_representation
+from entroplex.functions import SetFunction, UpSetValues
 from entroplex.validity import (
     DECIDABLE,
     SIMPLE_CLASSES,
@@ -517,28 +518,115 @@ def test_step_kernel_carry_cascades(expr):
     assert_step_matches_oracle(expr)
 
 
-def _held(n, w, s):
-    """What check_step holds at once and what its blocks stream, as README's
-    Caps row states it. With low = min(n, 15) and k = n - low, a block
-    streams 2(low + w) + s bitmaps of 2^low bits, 2^low/8 + 32 bytes each,
-    and 512 bytes more for each of the s terms that name one of the first k
-    variables; when s > 0 it holds 2w bitmaps more, its own columns.
-    Returns (held, streamed): what a block holds, and its streamed bytes
-    times 2^k."""
+_REPEATED = (3, 5, 6, 7, 13, 2**40 + 3)  # two or more set bits each
+
+# Instances of the step-hard pool (bench/workloads.py, step_rounds(Random(1)),
+# its first round) whose shared terms repeat a multiplicity often enough to
+# be counted: 15 pair terms at -22 over 15 variables, and pair terms at -6,
+# -12 and -18 over 16.
+_POOL_UNCOLORABLE = graph(  # K4 on v1-v4, and v5 alone
+    [f"v{i}" for i in range(1, 6)], itertools.combinations(["v1", "v2", "v3", "v4"], 2)
+)
+_POOL_SPLIT = PartitionInstance((3, 1, 2, 3, 2, 1, 1, 3, 1, 3, 1, 3, 1, 1, 1, 1))
+
+
+@st.composite
+def repeated_multiplicity_exprs(draw):
+    """Forms over 3 to 8 variables in which at least 5 terms share one
+    multiplicity with two or more set bits, and up to as many more share
+    another of the opposite sign, beside a few small terms. From 13 to 21
+    terms of one multiplicity on (13 for three set bits, 21 for two), the
+    step kernel counts them before adding."""
+    n = draw(st.integers(3, 8))
+    uni = universe(*[f"V{i}" for i in range(n)])
+    masks = draw(st.lists(
+        st.integers(1, uni.full_mask), min_size=5, max_size=min(60, uni.full_mask),
+        unique=True,
+    ))
+    many = draw(st.integers(5, len(masks)))
+    c, d = draw(st.sampled_from(_REPEATED)), draw(st.sampled_from(_REPEATED))
+    sign = draw(st.sampled_from((1, -1)))
+    terms = {mask: sign * c for mask in masks[:many]}
+    terms.update({mask: -sign * d for mask in masks[many:]})
+    small = draw(st.dictionaries(
+        st.integers(1, uni.full_mask), st.integers(-6, 6), max_size=4
+    ))
+    for mask, k in small.items():
+        terms[mask] = terms.get(mask, 0) + k
+    return make_expr(uni, terms)
+
+
+@given(repeated_multiplicity_exprs())
+@settings(max_examples=200, deadline=None)
+@example(from_3coloring(_POOL_UNCOLORABLE))
+@example(from_partition(_POOL_SPLIT))
+@example(make_expr(universe(*[f"V{i}" for i in range(8)]), {
+    **{m: 2**40 + 3 for m in range(1, 41)}, 255: -40 * (2**40 + 3),
+}))
+@example(make_expr(universe(*[f"V{i}" for i in range(5)]), {
+    **{m: 7 for m in range(1, 16)}, 16: -100,
+}))
+def test_step_counted_adds_match_enumeration(expr):
+    """Shared terms of one multiplicity counted first, then added at the
+    multiplicity's set bits, give the oracle's first failing set. In the
+    last example the sets holding V0-V3 meet all 15 terms at 7, a count
+    that needs every one of bit_length(15) columns."""
+    assert_step_matches_oracle(expr)
+
+
+def test_step_counts_repeated_multiplicities(monkeypatch):
+    """The bitmaps _add receives, one per set bit of each call's
+    multiplicity, on the two pool instances above: 81 and 199 with shared
+    terms of one multiplicity counted first, where adding each term's
+    bitmap once per set bit of its multiplicity took 117 and 221."""
+    received = []
+    add = validity._add
+    monkeypatch.setattr(
+        validity, "_add",
+        lambda cols, x, times: received.append(bin(times).count("1"))
+        or add(cols, x, times),
+    )
+    figures = []
+    for expr in (from_3coloring(_POOL_UNCOLORABLE), from_partition(_POOL_SPLIT)):
+        received.clear()
+        figures.append((check_step(expr).valid, sum(received)))
+    assert figures == [(True, 81), (False, 199)]
+
+
+def _held(n, w, s, t, once, each):
+    """What check_step holds at once and what it streams, as README's Caps
+    row states it. With low = min(n, 15) and k = n - low, a block streams
+    2(low + w) + s bitmaps of 2^low bits, 2^low/8 + 32 bytes each, 512
+    bytes more for each of the s terms that name one of the first k
+    variables, and one bitmap per set bit of those terms' multiplicities,
+    `each` in all. The other terms add `once` bitmaps, one per set bit of
+    their multiplicities, before the blocks. Beside a block's own set-up a
+    count of the t terms holds 2·bit_length(t) bitmaps, and when s > 0 the
+    block holds 2w more, its own columns. Returns (held, streamed): what a
+    block holds, and the `once` bitmaps plus a block's streamed bytes times
+    2^k, or once when s = 0."""
     low = min(n, validity._STEP_LOW)
     k = n - low
     plane = (1 << low) // 8 + 32
     block = (2 * (low + w) + s) * plane + 512 * s
-    held = block + 2 * w * plane if s else block
-    return held, block << k
+    held = block + 2 * (t.bit_length() + (w if s else 0)) * plane
+    streamed = ((block + each * plane) << k if s else block) + once * plane
+    return held, streamed
 
 
 def _guard_figures(expr):
-    """check_step's w and s for expr."""
+    """check_step's (w, s, t, once, each) for expr: see _held."""
     positives, negatives = set_representation(expr)
     w = max(sum(positives.values()), sum(negatives.values())).bit_length() + 1
     k = expr.universe.n - min(expr.universe.n, validity._STEP_LOW)
-    return w, sum(1 for mask in expr.terms if mask & ((1 << k) - 1))
+    s = once = each = 0
+    for mask, c in (*positives.items(), *negatives.items()):
+        if mask & ((1 << k) - 1):
+            s += 1
+            each += bin(c).count("1")
+        else:
+            once += bin(c).count("1")
+    return w, s, len(expr.terms), once, each
 
 
 def test_step_guard_refuses_before_allocating():
@@ -570,12 +658,14 @@ def test_step_guard_refuses_before_allocating():
 def test_step_guard_admits_what_64_planes_allowed(monkeypatch):
     """Every (n, w) that the unblocked kernel's guard, 2(n + w)·(2^n/8 + 32)
     bytes against 64 planes at n = 24, admitted for n <= 25 is still
-    admitted with a few hundred terms on the first n - 15 variables, but
-    for one corner: at n = 16 a block's own 2w columns refuse w from 22,346
-    (22,262 with 300 terms) up to the 22,424 the old guard reached. At
-    n <= 15, where there is one block, the two guards agree. check_step's
-    guard is _held at its edges: with blocks of 2^2 sets, budgets of
-    exactly (held, streamed) admit, and one byte less on either refuses."""
+    admitted with a few hundred terms on the first n - 15 variables, each
+    of one set bit, but for one corner: at n = 16 a block's own 2w columns
+    and the count's planes refuse w from 22,346 (22,258 with 300 terms) up
+    to the 22,424 the old guard reached. At n <= 15, where there is one
+    block, the two guards agree on a form without terms, and past that
+    differ by the count's 2·bit_length(t) planes. check_step's guard is
+    _held at its edges: with blocks of 2^2 sets, budgets of exactly
+    (held, streamed) admit, and one byte less on either refuses."""
     assert validity.STEP_PLANE_BUDGET == 369_104_384
     assert validity.STEP_WORK_BUDGET == 1 << 36
     refused = {}
@@ -584,26 +674,26 @@ def test_step_guard_admits_what_64_planes_allowed(monkeypatch):
         widest = validity.STEP_PLANE_BUDGET // (2 * old_plane) - n
         if n <= validity._STEP_LOW:
             for w in (*range(1, 65), widest, widest + 1):
-                assert _held(n, w, 0)[0] == 2 * (n + w) * old_plane
+                assert _held(n, w, 0, 0, 0, 0)[0] == 2 * (n + w) * old_plane
             continue
         for w in range(1, widest + 1):
             for s in (0, 1, 30, 300):
-                held, streamed = _held(n, w, s)
+                held, streamed = _held(n, w, s, s, 0, s)
                 assert streamed <= validity.STEP_WORK_BUDGET, (n, w, s)
                 if held > validity.STEP_PLANE_BUDGET:
                     refused.setdefault((n, s), []).append(w)
     assert {key: (min(ws), max(ws), len(ws)) for key, ws in refused.items()} == {
         (16, 1): (22_346, 22_424, 79),
-        (16, 30): (22_338, 22_424, 87),
-        (16, 300): (22_262, 22_424, 163),
+        (16, 30): (22_336, 22_424, 89),
+        (16, 300): (22_258, 22_424, 167),
     }
     rng = random.Random(4)
     with step_blocks(2):
         for n in (2, 5, 7):
             expr = _rand_terms(rng, n, 12)
-            w, s = _guard_figures(expr)
-            held, streamed = _held(n, w, s)
-            assert s > 0 or n == 2
+            figures = _guard_figures(expr)
+            held, streamed = _held(n, *figures)
+            assert figures[1] > 0 or n == 2
             for plane, stream, match in (
                 (held, streamed, None), (held - 1, streamed, "at once"),
                 (held, streamed - 1, "streams"),
@@ -621,29 +711,30 @@ def test_step_first_pass_never_decided_a_refusal():
     """An unblocked pass over the sets of the first k variables would hold
     2(k + w) bitmaps of 2^k bits. At every n and s the time budget admits,
     those bytes stay within the memory budget at the widest w the time
-    budget admits, so counting them in the guard would refuse nothing
-    more: walking that pass in blocks left the refused inputs as they
-    were."""
+    budget admits with s terms of one set bit each on the first k
+    variables, so counting them in the guard would refuse nothing more:
+    walking that pass in blocks left the refused inputs as they were.
+    (With s = 0 that pass has no terms, and one block is walked.)"""
     low = validity._STEP_LOW
     plane = (1 << low) // 8 + 32
     last = {}
     for n in itertools.count(low + 1):
         k = n - low
         admitted = False
-        for s in (0, 1, 30, 300, 3_000, 30_000):
+        for s in (1, 30, 300, 3_000, 30_000):
             room = validity.STEP_WORK_BUDGET >> k
-            w = ((room - 512 * s) // plane - s) // 2 - low
+            w = ((room - 512 * s) // plane - 2 * s) // 2 - low
             if w < 1:
                 continue
             admitted = True
             last[s] = n
-            assert _held(n, w, s)[1] <= validity.STEP_WORK_BUDGET
-            assert _held(n, w + 1, s)[1] > validity.STEP_WORK_BUDGET
+            assert _held(n, w, s, s, 0, s)[1] <= validity.STEP_WORK_BUDGET
+            assert _held(n, w + 1, s, s, 0, s)[1] > validity.STEP_WORK_BUDGET
             first_pass = 2 * (k + w) * ((1 << k) // 8 + 32)
             assert first_pass <= validity.STEP_PLANE_BUDGET, (n, w, s)
         if not admitted:
             break
-    assert last == {0: 33, 1: 33, 30: 32, 300: 30, 3_000: 27, 30_000: 23}
+    assert last == {1: 33, 30: 32, 300: 29, 3_000: 26, 30_000: 23}
 
 
 def test_step_first_pass_peak_is_blocked():
@@ -653,10 +744,10 @@ def test_step_first_pass_peak_is_blocked():
     Walked in blocks of 2^15 sets itself, it peaks within that block."""
     for n in (31, 32):
         expr = _rand_terms(random.Random(n), n)
-        w, s = _guard_figures(expr)
+        figures = _guard_figures(expr)
         verdict, peak = peak_bytes(lambda: check_step(expr))
         assert verdict.witness.step_set == 1
-        assert peak < _held(n, w, s)[0], (n, w, s, peak)
+        assert peak < _held(n, *figures)[0], (n, figures, peak)
 
 
 def test_step_peak_within_plane_bytes():
@@ -665,7 +756,8 @@ def test_step_peak_within_plane_bytes():
     random draws (18,692 terms, 16,339 of which keep a bitmap each), and on
     two Valid inequalities with 4,000-bit multiplicities, so that every
     block runs: Han's over all 18 variables and Han's over the last 15,
-    which fills the shared columns while each block adds 2w of its own."""
+    which fills the shared columns, its 15 equal multiplicities through a
+    count, while each block adds 2w of its own."""
     workloads = load_bench("workloads")
     rng = random.Random(18)
     cases = [
@@ -686,10 +778,11 @@ def test_step_peak_within_plane_bytes():
     cases.append(make_expr(universe(*[f"V{i}" for i in range(18)]), terms))
     cases.append(_rand_terms(random.Random(18), 18, 19_326))
     for expr in cases:
-        w, s = _guard_figures(expr)
+        figures = _guard_figures(expr)
+        w, s = figures[:2]
         verdict, peak = peak_bytes(lambda: check_step(expr))
         assert expr.universe.n == 18
-        assert peak < _held(18, w, s)[0], (verdict.valid, w, s, peak)
+        assert peak < _held(18, *figures)[0], (verdict.valid, figures, peak)
         if w > 4000:
             assert verdict.valid and s == 19
     assert (len(expr.terms), s) == (18_692, 16_339)
@@ -710,6 +803,60 @@ def test_witness_value_past_the_digit_limit():
     expr = make_expr(universe("A", "B"), {1: -(10**5000), 3: 1})
     verdict = check_step(expr)
     assert not verdict.valid and verdict.witness.step_set == 1
+
+
+@st.composite
+def upset_forms(draw):
+    """A form with int or Fraction coefficients over up to 8 variables and
+    a 0/1 up-set function with singleton and larger generators."""
+    n = draw(st.integers(1, 8))
+    uni = universe(*[f"V{i}" for i in range(n)])
+    coeffs = st.one_of(
+        st.integers(-(10**20), 10**20),
+        st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    )
+    terms = draw(st.dictionaries(st.integers(1, uni.full_mask), coeffs, max_size=20))
+    singles = draw(st.integers(0, uni.full_mask))
+    larger = draw(st.lists(
+        st.integers(1, uni.full_mask).filter(lambda g: g & (g - 1)), max_size=4
+    ))
+    return make_expr(uni, terms), UpSetValues(n, singles, tuple(sorted(set(larger))))
+
+
+@given(upset_forms())
+@settings(max_examples=300, deadline=None)
+@example((make_expr(U3, {3: 1, 5: 1, 1: -1, 7: -1}), UpSetValues(3, 0, (7,))))
+@example((
+    make_expr(U3, {1: Fraction(1, 2), 3: Fraction(-2, 3), 4: 5}), UpSetValues(3, 5)
+))
+def test_upset_form_value_is_evaluate(case):
+    """A 0/1 up-set function's form value, the sum of the coefficients of
+    the masks it lights, is core.evaluate's sum over every value, and an
+    int whenever the coefficients are."""
+    expr, values = case
+    value = values.form_value(expr.terms)
+    assert value == evaluate(expr, SetFunction(expr.universe, values))
+    if all(type(c) is int for c in expr.terms.values()):
+        assert type(value) is int
+
+
+def test_tampered_witnesses_raise(monkeypatch):
+    """A step, up-set or basic modular witness that does not fail the form
+    still raises ConsistencyError from the exact re-check."""
+    uni = universe("A", "B")
+    with monkeypatch.context() as patch:  # {A} where {B} fails h(A) >= h(A,B)
+        patch.setattr(validity, "_first_set", lambda *a: 1)
+        with pytest.raises(ConsistencyError, match="witness evaluates to 0"):
+            check_step(make_expr(uni, {1: 1, 3: -1}))
+    with monkeypatch.context() as patch:  # the up-set of {X}, not of {X,Y,Z}
+        patch.setattr(validity, "_minimal_sets", lambda masks: (1,))
+        with pytest.raises(ConsistencyError, match="witness evaluates to 0"):
+            check_monotone_fixpoint(SUBMOD)
+    modular = validity.basic_modular
+    with monkeypatch.context() as patch:  # the modular function of A, not B
+        patch.setattr(validity, "basic_modular", lambda uni, name: modular(uni, "A"))
+        with pytest.raises(ConsistencyError, match="witness evaluates to 2"):
+            check_modular(make_expr(uni, {1: 2, 2: -3}))
 
 
 def test_step_answers_past_25_variables():
@@ -859,6 +1006,46 @@ def test_step_wide_multiplicities_add_in_linear_time():
     verdict = check_step(expr)
     assert time.perf_counter() - start < 3
     assert verdict.witness.step_set == step_first_failing(expr) == 1
+
+
+def _wide_terms(rng, count, bits, signs=(-1, 1)):
+    """count random masks over 15 variables with random bits-bit
+    multiplicities of the given signs."""
+    uni = universe(*[f"V{i}" for i in range(15)])
+    return make_expr(uni, {
+        rng.randint(1, uni.full_mask):
+        rng.choice(signs) * (1 << bits - 1 | rng.getrandbits(bits - 1))
+        for _ in range(count)
+    })
+
+
+def test_step_guard_counts_each_set_bit():
+    """The time budget counts one bitmap per set bit of each multiplicity.
+    1,948 masks over 15 variables with 40,000-bit multiplicities, and one
+    term of -1, hold one block of 331 MB, under the memory budget, but
+    would add 39 million bitmaps of 2^15 bits at about 5 us each: minutes.
+    They are refused before any bitmap is made. 30
+    masks with ±20,000-bit multiplicities add about 300,000 and are still
+    answered."""
+    expr = _wide_terms(random.Random(15), 2_000, 40_000, (1,))
+    expr = make_expr(expr.universe, {**expr.terms, 1: -1})
+    w, s, t, once, each = _guard_figures(expr)
+    assert (s, t, once, each) == (0, 1_949, 38_966_412, 0)
+    assert _held(15, w, s, t, once, each)[0] <= validity.STEP_PLANE_BUDGET
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(CapExceeded, match="streams"):
+            check_step(expr)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1
+    assert peak < 1 << 20
+    expr = _wide_terms(random.Random(5), 30, 20_000)
+    verdict = check_step(expr)
+    assert verdict.witness.step_set == step_first_failing(expr)
 
 
 def test_step_random_terms_answered_before_any_block():
