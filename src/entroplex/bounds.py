@@ -282,6 +282,58 @@ def logbound_step(query: Query, sigma: GuardedSigma) -> BoundResult:
     return _covering_bound(sigma, "step", check_step)
 
 
+def _check_shannon_proof(
+    sigma: GuardedSigma,
+    rows: Sequence[tuple[Mapping[int, int], str, int]],
+    duals: Sequence[Fraction],
+    value: Fraction,
+) -> None:
+    """Check exactly, in integers, that `duals` prove their weights' bound.
+
+    The duals are one multiplier y_e <= 0 per elemental row (column j holds
+    the set j + 1), then one weight w_k >= 0 per entry. The weighted form
+    plus sum(y_e * row_e) must have no negative coefficient, a Shannon proof
+    that the weights are valid over polymatroids, and sum(b_k * w_k) must
+    equal `value`. Everything is scaled by den, the lcm of the duals'
+    denominators, so each multiplier is an int numerator, and the budget
+    equation also by the lcm of the budgets' and the value's denominators;
+    both scales are positive, so the checks accept exactly what the
+    unscaled ones would.
+    """
+    den = math.lcm(*[y.denominator for y in duals if y])
+    scaled = [y.numerator * (den // y.denominator) if y else 0 for y in duals]
+    k = len(rows)
+    weights = scaled[k:]
+    self_check(
+        all(w >= 0 for w in weights) and all(y <= 0 for y in scaled[:k]),
+        "the weights and elemental multipliers are nonnegative",
+    )
+    full = sigma.universe.full_mask
+    remainder = [0] * full  # by column: the set j + 1 at j
+    remainder[full - 1] = -den
+    for entry, w in zip(sigma.entries, weights):
+        cond = entry.sigma
+        remainder[cond.joint - 1] += w
+        if cond.condition:
+            remainder[cond.condition - 1] -= w
+    for y, (row, _, _) in zip(scaled, rows):
+        if y:
+            for j, c in row.items():
+                remainder[j] += y * c
+    self_check(
+        all(c >= 0 for c in remainder),
+        "the elemental multipliers prove the weights over polymatroids",
+    )
+    budgets = [e.log_degree for e in sigma.entries]
+    scale = math.lcm(value.denominator, *[b.denominator for b in budgets])
+    self_check(
+        sum(b.numerator * (scale // b.denominator) * w
+            for b, w in zip(budgets, weights))
+        == value.numerator * (scale // value.denominator) * den,
+        "the weights' budget equals the optimum",
+    )
+
+
 def logbound_polymatroid_dual(query: Query, sigma: GuardedSigma) -> BoundResult:
     """Exponential oracle: maximize h(full) inside the degree-sliced cone.
 
@@ -291,7 +343,8 @@ def logbound_polymatroid_dual(query: Query, sigma: GuardedSigma) -> BoundResult:
     duals, negated, are multipliers lambda >= 0 that leave the weighted
     form minus sum(lambda_e * E_e) with no negative coefficient: a Shannon
     proof that the weights are valid over polymatroids. That remainder and
-    the budget's equality with the optimum are checked exactly.
+    the budget's equality with the optimum are checked exactly, in integers
+    over the duals' common denominator (_check_shannon_proof).
     """
     uni = sigma.universe
     if uni.n > POLYMATROID_MAX_N:
@@ -313,28 +366,9 @@ def logbound_polymatroid_dual(query: Query, sigma: GuardedSigma) -> BoundResult:
     if result.status == UNBOUNDED:
         return BoundResult(math.inf, "polymatroid-dual", lp_shape=shape)
 
-    # Elemental duals y <= 0 give the Shannon proof with multipliers -y.
-    weights = result.duals[k:]
-    self_check(
-        all(w >= 0 for w in weights) and all(y <= 0 for y in result.duals[:k]),
-        "the weights and elemental multipliers are nonnegative",
-    )
-    remainder = dict(sigma_inequality(sigma, weights).terms)
-    for y, (row, _, _) in zip(result.duals[:k], lp.rows):
-        if y:
-            for j, c in row.items():  # column j holds the set j + 1
-                remainder[j + 1] = remainder.get(j + 1, 0) + y * c
-    self_check(
-        all(c >= 0 for c in remainder.values()),
-        "the elemental multipliers prove the weights over polymatroids",
-    )
-    self_check(
-        sum(e.log_degree * w for e, w in zip(sigma.entries, weights))
-        == result.value,
-        "the weights' budget equals the optimum",
-    )
+    _check_shannon_proof(sigma, lp.rows[:k], result.duals, result.value)
     return BoundResult(
-        result.value, "polymatroid-dual", weights=weights, lp_shape=shape
+        result.value, "polymatroid-dual", weights=result.duals[k:], lp_shape=shape
     )
 
 

@@ -19,25 +19,31 @@ flips each sign.
 
 A `Head` is a program's first rows, all inequalities at rhs 0 (so no phase
 1), pivoted by Bland on those rows alone until the simplex stops, then kept
-read-only. `solve(lp, head)` copies the head's rows, basis and reduced
-costs, appends each remaining row expressed in the head's basis (the
-elimination pass the cost row gets), and goes on from the head's pivot
-count. The cold solve of the same program makes the head's pivots first,
-for three reasons: every head pivot is degenerate; the entering column
-depends only on the objective; and each appended `<=` row's slack has a
-larger index than every head basis column, so at rhs >= 0 the row loses
-every ratio-test tie. A tableau row in lowest terms is fixed by its basis,
-so every result field, pivots and duals included, is the cold solve's. A
+read-only with a map from each basic column to its row. `solve(lp, head)`
+copies the head's rows, basis and reduced costs, appends each remaining
+row expressed in the head's basis, and goes on from the head's pivot count.
+The cold solve of the same program makes the head's pivots first, for
+three reasons: every head pivot is degenerate; the entering column depends
+only on the objective; and each appended `<=` row's slack has a larger
+index than every head basis column, so at rhs >= 0 the row loses every
+ratio-test tie. A tableau row in lowest terms is fixed by its basis, so
+every result field, pivots and duals included, is the cold solve's. A
 program whose first rows are not the head's row objects, whose objective or
 sense differs, or whose later rows are not `<=` at rhs >= 0 is a
 DomainError, never a cold solve.
+
+A row joins a basis by lookup, both an appended row and the cost row at
+each phase: it eliminates only the basic columns it holds, each by the row
+a {basic column: row} map names. A tableau row is 1 at its basic column and
+0 at the other basic columns, so no elimination adds a basic column, and
+any order leaves the same row in lowest terms.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .core import DomainError, Rat, _integer_row, self_check
 
@@ -126,7 +132,7 @@ def _lowest_terms(nums: dict[int, int], den: int) -> int:
 
 
 def _eliminate(
-    nums: dict[int, int], den: int, c: int, pivot: tuple[tuple[int, int], ...], p: int,
+    nums: dict[int, int], den: int, c: int, pivot: Iterable[tuple[int, int]], p: int,
 ) -> int:
     """Subtract the multiple of the pivot row (items `pivot`, value 1 at c, so
     its entry p there is its denominator) that zeroes column c, in place;
@@ -150,14 +156,14 @@ def _eliminate(
 
 
 def _in_basis(
-    nums: dict[int, int], den: int, basis: list[int], rows: list[dict[int, int]],
+    nums: dict[int, int], den: int, basic: Mapping[int, dict[int, int]],
 ) -> int:
-    """Eliminate from a row every basic column of the given tableau rows (a
-    row is 1 at its basic column and 0 at the other basics), in place;
-    return the new denominator."""
-    for b, row in zip(basis, rows):
-        if b in nums:
-            den = _eliminate(nums, den, b, tuple(row.items()), row[b])
+    """Eliminate from a row every basic column it holds, each by the tableau
+    row `basic` maps it to, in place; return the new denominator. Any order
+    gives the same row (see the module notes)."""
+    for b in [j for j in nums if j in basic]:
+        row = basic[b]
+        den = _eliminate(nums, den, b, row.items(), row[b])
     return den
 
 
@@ -235,14 +241,13 @@ class _Tableau:
         self.cost = {j: sign * c for j, c in lp.objective.items()}
         if head is not None:
             for i in range(len(start.rows), len(self.rows)):
-                self.dens[i] = _in_basis(
-                    self.rows[i], self.dens[i], start.basis, start.rows)
+                self.dens[i] = _in_basis(self.rows[i], self.dens[i], head.basic)
             self.red, self.red_den = dict(start.red), start.red_den
 
     def _set_reduced_costs(self, cost: Mapping[int, Rat]) -> None:
         """red_j = c_j - c_B B^-1 A_j, with -c_B x_B in the rhs slot."""
         red, den = _integer_row(cost)
-        self.red_den = _in_basis(red, den, self.basis, self.rows)
+        self.red_den = _in_basis(red, den, dict(zip(self.basis, self.rows)))
         self.red = red
 
     def _pivot(self, r: int, c: int, holders: list[int]) -> None:
@@ -333,7 +338,7 @@ class Head:
     with the same row objects and has the same objective and sense; kept
     read-only (see the module notes)."""
 
-    __slots__ = ("n_vars", "sense", "objective", "rows", "tableau")
+    __slots__ = ("n_vars", "sense", "objective", "rows", "tableau", "basic")
 
     def __init__(self, lp: LinearProgram) -> None:
         if any(rel == "=" or rhs != 0 for _, rel, rhs in lp.rows):
@@ -344,6 +349,7 @@ class Head:
         self.objective = dict(lp.objective)
         self.rows = tuple(lp.rows)
         self.tableau = tab
+        self.basic = dict(zip(tab.basis, tab.rows))  # column -> its row
 
     def tail(self, lp: LinearProgram) -> list[tuple[Mapping[int, Rat], str, Rat]]:
         """The rows of lp after the head's; a DomainError unless lp extends

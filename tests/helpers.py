@@ -42,6 +42,7 @@ from entroplex.lp import (
     MINIMIZE,
     OPTIMAL,
     UNBOUNDED,
+    _eliminate,
     feasible,
     solve,
 )
@@ -743,6 +744,37 @@ def polymatroid_bound_dual_program(sigma) -> LinearProgram:
     for m in sorted(columns):
         dual.add_row(columns[m], ">=", 1 if m == uni.full_mask else 0)
     return dual
+
+
+def shannon_proof_holds(sigma, rows, duals, value) -> bool:
+    """The polymatroid bound's proof check as it was made in Fractions: the
+    duals are one multiplier <= 0 per elemental row (column j holds the set
+    j + 1), then one weight >= 0 per entry; the weighted form plus each
+    multiple of its row has no negative coefficient, and the weights'
+    budget is the value."""
+    from entroplex import sigma_inequality
+
+    k = len(rows)
+    weights = duals[k:]
+    if not (all(w >= 0 for w in weights) and all(y <= 0 for y in duals[:k])):
+        return False
+    remainder = dict(sigma_inequality(sigma, weights).terms)
+    for y, (row, _, _) in zip(duals[:k], rows):
+        if y:
+            for j, c in row.items():
+                remainder[j + 1] = remainder.get(j + 1, 0) + y * c
+    return all(c >= 0 for c in remainder.values()) and sum(
+        e.log_degree * w for e, w in zip(sigma.entries, weights)
+    ) == value
+
+
+def in_basis_by_scan(nums, den, basis, rows):
+    """A row expressed in a tableau's basis by a pass over every basis row,
+    in basis order: the oracle of the lookup in lp._in_basis."""
+    for b, row in zip(basis, rows):
+        if b in nums:
+            den = _eliminate(nums, den, b, tuple(row.items()), row[b])
+    return den
 
 
 def covering_bound_value(sigma, supports):

@@ -46,6 +46,7 @@ from helpers import (
     modular_bound_brute,
     polymatroid_bound_dual_program,
     rand_sigma,
+    shannon_proof_holds,
     simple_entropic_flow_bound,
     step_bound_brute,
 )
@@ -374,6 +375,69 @@ def test_polymatroid_bound_one_lp_matches_dual_program(monkeypatch):
         monkeypatch.setattr(bounds_mod, "solve", corrupted)
         with pytest.raises(ConsistencyError):
             logbound_polymatroid_dual(query, sigma)
+
+
+def test_integer_proof_check_accepts_what_the_fraction_check_accepts(monkeypatch):
+    """The polymatroid bound's integer proof check, against the Fraction
+    remainder it replaced (helpers.shannon_proof_holds), on seeded cyclic
+    systems at n = 3-5 and criterion-08 simple systems at n = 2-5: both
+    accept every proof the bound makes, and both reject it once one nonzero
+    elemental multiplier is zeroed or one positive weight is lowered."""
+    real = bounds_mod._check_shannon_proof
+    proofs = []
+
+    def recording(*proof):
+        proofs.append(proof)
+        real(*proof)
+
+    monkeypatch.setattr(bounds_mod, "_check_shannon_proof", recording)
+    rng = random.Random(2029)
+    for n in (3, 4, 5):
+        for _ in range(10):
+            logbound_polymatroid_dual(*cyclic_system(rng, n))
+    for n in (2, 3, 4, 5):
+        for _ in range(15):
+            logbound_polymatroid_dual(
+                *rand_sigma(rng, n_min=n, n_max=n, simple=True))
+    assert len(proofs) >= 60
+
+    def accepted(sigma, rows, duals, value):
+        try:
+            real(sigma, rows, duals, value)
+        except ConsistencyError:
+            return False
+        return True
+
+    mutants = 0
+    for sigma, rows, duals, value in proofs:
+        assert shannon_proof_holds(sigma, rows, duals, value)
+        k = len(rows)
+        for i, y in enumerate(duals):
+            # zero a multiplier; halve or zero a weight
+            for lowered in ((0,) if i < k else (y / 2, 0)) if y else ():
+                mutant = duals[:i] + (Fraction(lowered),) + duals[i + 1:]
+                assert not shannon_proof_holds(sigma, rows, mutant, value)
+                assert not accepted(sigma, rows, mutant, value)
+                mutants += 1
+    assert mutants >= 300
+
+
+def test_covering_rows_stay_an_antichain():
+    """The covering loop's rows on one seeded criterion-08 system (six
+    variables, four entries): the modular program has three distinct
+    minimal supports, and the step and simple-entropic loops' second round
+    adds a row that replaces a superset of it, so each last program keeps
+    three rows. Keeping every row instead (no antichain filter) reads
+    6, 7 and 7 rows, at the same values."""
+    query, sigma = rand_sigma(random.Random(17), n_min=4, n_max=6, simple=True)
+    assert (sigma.universe.n, len(sigma.entries)) == (6, 4)
+    for method, value in (
+        (logbound_modular, Fraction(14, 3)),
+        (logbound_step, 6),
+        (logbound_simple_entropic, 6),
+    ):
+        result = method(query, sigma)
+        assert (result.value, result.lp_shape) == (value, (3, 4)), method
 
 
 def test_sigma_inequality_shape():

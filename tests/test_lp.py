@@ -16,7 +16,7 @@ import entroplex.bounds as bounds_mod
 import entroplex.lp as lp_mod
 import entroplex.validity as validity_mod
 from entroplex import universe
-from entroplex.core import DomainError
+from entroplex.core import DomainError, _integer_row
 from entroplex.lp import (
     INFEASIBLE,
     Head,
@@ -34,6 +34,7 @@ from helpers import (
     cyclic_system,
     dense_feasible,
     dense_solve,
+    in_basis_by_scan,
     rand_expr,
     rand_lp,
     rand_sigma,
@@ -305,6 +306,37 @@ def test_head_solve_equals_cold_solve(case):
     for bad in refused:
         with pytest.raises(DomainError):
             solve(bad, head)
+
+
+def test_rows_join_the_head_by_lookup():
+    """A `<=` tail row expressed in the cone head's basis at n = 3-5: the
+    lookup through the head's {basic column: row} map gives the same
+    numerators and denominator as a pass over every head row in basis
+    order, holds no basic column, and leaves the head as it was."""
+    for n in (3, 4, 5):
+        head = validity_mod._cone_head(n)
+        start = head.tableau
+        assert head.basic == dict(zip(start.basis, start.rows))
+        kept = [dict(row) for row in start.rows]
+        rng = random.Random(n)
+        cols = (1 << n) - 1
+        slack = cols + len(start.rows)  # the first tail row's slack column
+        for _ in range(100):
+            coeffs = {
+                j: Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+                for j in rng.sample(range(cols), rng.randint(1, min(cols, 8)))
+            }
+            coeffs[slack + 1] = Fraction(rng.randint(0, 5), rng.choice((1, 4)))
+            nums, den = _integer_row(coeffs)  # the rhs sits past the slack
+            nums[slack] = den
+            den = lp_mod._lowest_terms(nums, den)
+            scanned = dict(nums)
+            want = in_basis_by_scan(scanned, den, start.basis, start.rows)
+            looked_up = dict(nums)
+            assert lp_mod._in_basis(looked_up, den, head.basic) == want
+            assert looked_up == scanned
+            assert not looked_up.keys() & head.basic.keys()
+        assert [dict(row) for row in start.rows] == kept
 
 
 def test_head_rows_need_no_phase_one():
